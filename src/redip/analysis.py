@@ -1,16 +1,16 @@
-"""Total mass, normalization, and exact coefficient extraction.
+"""Total mass, normalization, validation, and exact coefficient tables.
 
 The mass of an automaton is the sum of all accepting-path weights. Stripping
 labels leaves a monotone linear system B = M B + F whose least nonnegative
 solution gives, per state, the total weight of runs from that state to
 acceptance; the mass is the initial-weight combination of that vector.
 
-Two solvers back this up: exact Gaussian elimination on (I - M) B = F (on the
-trimmed system, a unique nonnegative solution is necessarily the least one,
-and a singular system or a negative component certifies divergence), and an
-exact simplex on `min I.B s.t. B = M B + F, B >= 0`, whose infeasibility also
-certifies divergence. Both must agree; `mass` uses elimination first and falls
-back to the LP when elimination is inconclusive.
+`mass` always solves the trimmed system, on which exact Gaussian elimination
+on (I - M) B = F is conclusive: any nonnegative solution bounds every partial
+sum of the series, so a nonsingular system with a nonnegative solution gives
+the least one, and a singular system or a negative component certifies
+divergence. The exact simplex (`method="lp"`) is not a production route; it
+is kept only to cross-check elimination.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import linsolve
-from .constructions import product
-from .errors import InfiniteMass, InvalidAutomaton, UnknownVariable, ZeroMass
-from .guards import build_guard_dfa, equality_guard
+from .errors import InfiniteMass, UnknownVariable, ZeroMass
 from .linsolve import FactoredSystem, SingularSystem
-from .pga import Pga, make_pga, trim
+from .pga import Pga, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 ZERO = Fraction(0)
@@ -40,24 +38,20 @@ def _stripped_system(a: Pga) -> tuple[list[dict[int, Fraction]], list[Fraction]]
     return rows, f
 
 
-def mass(a: Pga, method: str = "auto") -> ExtRational:
+def mass(a: Pga, method: str = "elimination") -> ExtRational:
     """Total weight of all accepting runs, or INF when it diverges.
 
-    method: "auto" (elimination, LP fallback), "elimination", or "lp".
+    method: "elimination" (the production route) or "lp" (the exact simplex,
+    a cross-check of elimination).
     """
+    if method not in ("elimination", "lp"):
+        raise ValueError(f"unknown method {method!r}")
     t = trim(a)
     if not t.final:
         return ZERO
     rows, f = _stripped_system(t)
     n = t.num_states
-
-    def by_elimination() -> Optional[Fraction]:
-        sol = linsolve.least_solution_elimination(n, rows, f)
-        if sol is None:
-            return None
-        return sum((w * sol[q] for q, w in t.initial.items()), ZERO)
-
-    def by_lp() -> Optional[Fraction]:
+    if method == "lp":
         a_rows = []
         for i in range(n):
             row = [ZERO] * n
@@ -66,22 +60,11 @@ def mass(a: Pga, method: str = "auto") -> ExtRational:
             row[i] += 1
             a_rows.append(row)
         costs = [t.initial.get(q, ZERO) for q in range(n)]
-        return linsolve.simplex_min(costs, a_rows, f)
-
-    if method == "elimination":
-        got = by_elimination()
-        # on a trimmed system an inconclusive elimination certifies divergence
-        return INF if got is None else got
-    if method == "lp":
-        got = by_lp()
-        return INF if got is None else got
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    got = by_elimination()
-    if got is not None:
-        return got
-    got = by_lp()
-    return INF if got is None else got
+        value = linsolve.simplex_min(costs, a_rows, f)
+    else:
+        sol = linsolve.least_solution_elimination(n, rows, f)
+        value = None if sol is None else sum((w * sol[q] for q, w in t.initial.items()), ZERO)
+    return INF if value is None else value
 
 
 @dataclass(frozen=True)
@@ -93,39 +76,16 @@ class PgaReport:
 
 def validate_pga(a: Pga) -> PgaReport:
     """Mass check (a PGA has mass <= 1) plus structural warnings."""
-    issues = []
-    t = trim(a)
-    if t.num_states != a.num_states:
-        fwd = {q for q in range(a.num_states)}
-        # recompute the two closures for a readable report
-        reach = _closure(a, forward=True)
-        coreach = _closure(a, forward=False)
-        for q in sorted(fwd - reach):
-            issues.append(f"state {q} unreachable from any initial state")
-        for q in sorted(fwd - coreach):
-            if q in reach:
-                issues.append(f"state {q} cannot reach any final state")
+    reach, coreach = reach_and_coreach(a)
+    states = range(a.num_states)
+    issues = [f"state {q} unreachable from any initial state" for q in states if q not in reach]
+    issues += [
+        f"state {q} cannot reach any final state"
+        for q in states
+        if q in reach and q not in coreach
+    ]
     m = mass(a)
-    is_pga = is_finite(m) and m <= 1
-    return PgaReport(mass=m, is_pga=is_pga, issues=tuple(issues))
-
-
-def _closure(a: Pga, forward: bool) -> set[int]:
-    adj: dict[int, list[int]] = {}
-    for e in a.edges:
-        if forward:
-            adj.setdefault(e.src, []).append(e.dst)
-        else:
-            adj.setdefault(e.dst, []).append(e.src)
-    seen = set(a.initial if forward else a.final)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for s in adj.get(q, ()):
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
+    return PgaReport(mass=m, is_pga=is_finite(m) and m <= 1, issues=tuple(issues))
 
 
 def normalize(a: Pga) -> Pga:
@@ -139,44 +99,30 @@ def normalize(a: Pga) -> Pga:
     return make_pga(a.alphabet, a.num_states, a.edges, initial, a.final)
 
 
-def coefficient(a: Pga, valuation: Mapping[str, int]) -> Fraction:
-    """Exact coefficient of the behavior at one valuation.
+class CoefficientTable(dict):
+    """Coefficients keyed by count tuples, plus the automaton's total mass
+    (`total`), which the finiteness check has already solved for."""
 
-    Realized as the mass of the automaton filtered by the conjunction of
-    per-variable equality guards.
-    """
-    for var, count in valuation.items():
-        if var not in a.alphabet:
-            if count != 0:
-                raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
-        elif count < 0:
-            raise InvalidAutomaton(f"negative count {count} for {var}")
-    guard = equality_guard(valuation, a.alphabet)
-    filtered = trim(product(a, build_guard_dfa(guard, a.alphabet)))
-    m = mass(filtered)
-    if not is_finite(m):
-        raise InfiniteMass(f"coefficient at {dict(valuation)} diverges")
-    return m
+    total: Fraction
 
 
-def coefficient_table(
-    a: Pga, bounds: Mapping[str, int]
-) -> dict[tuple[int, ...], Fraction]:
+def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     """All coefficients with per-variable counts inside the given box.
 
-    Keys are count tuples aligned with a.alphabet; variables missing from
-    `bounds` get bound 0. Works level by level: within a level only unlabeled
-    edges act, so each level is one solve against a factorization of
-    (I - M_eps), valid whenever the total mass is finite.
+    Keys are count tuples aligned with a.alphabet, in box order (the last
+    variable's count varies fastest); variables missing from `bounds` get
+    bound 0. Works level by level: within a level only unlabeled edges act,
+    so each level is one solve against a factorization of (I - M_eps), valid
+    whenever the total mass is finite.
     """
     for var in bounds:
         if var not in a.alphabet:
             raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
     t = trim(a)
     box = [range(bounds.get(var, 0) + 1) for var in t.alphabet]
-    if not t.final:
-        return {key: ZERO for key in itertools.product(*box)}
-    if not is_finite(mass(t)):
+    table = CoefficientTable()
+    table.total = mass(t)
+    if not is_finite(table.total):
         raise InfiniteMass("coefficient table of a diverging automaton")
     n = t.num_states
     eps_rows: list[dict[int, Fraction]] = [dict() for _ in range(n)]
@@ -198,7 +144,6 @@ def coefficient_table(
     f = [t.final.get(q, ZERO) for q in range(n)]
     vectors: dict[tuple[int, ...], list[Fraction]] = {}
     pending_uses: dict[tuple[int, ...], int] = {}
-    table: dict[tuple[int, ...], Fraction] = {}
     for key in itertools.product(*box):
         rhs = list(f) if not any(key) else [ZERO] * n
         for i, var in enumerate(t.alphabet):

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .analysis import coefficient, validate_pga
+from .analysis import validate_pga
 from .errors import (
     InfeasibleObservation,
     PgaParseError,
@@ -35,7 +35,7 @@ from .lang import (
 from .oracle import compare, enumerate_program, mc_sample
 from .rational import decimal_str, format_ext, format_weight
 from .serialize import load_pga, pga_to_dot, save_pga
-from .translate import guard_mass, infer, marginal, translate
+from .translate import coefficient, guard_mass, infer, marginal, translate
 
 
 def _read_text(path: str) -> str:

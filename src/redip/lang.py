@@ -190,7 +190,7 @@ _KEYWORDS = {
 _DIST_NAMES = {
     "geometric", "bernoulli", "dirac", "uniform", "binomial", "negbinomial", "custom",
 }
-_TWO_CHAR = {":=", "+=", "--", "<=", ">=", "==", "!="}
+_TWO_CHAR = {":=", "+=", "-=", "--", "<=", ">=", "==", "!="}
 _ONE_CHAR = set(";{}[](),%+*/<>")
 
 
@@ -404,7 +404,16 @@ class _Parser:
                 return self.increment(var)
             if self.accept("OP", "--"):
                 return Decrement(var)
-            raise self.error("expected ':=', '+=' or '--' after variable")
+            if self.accept("OP", "-="):
+                amount = self.cur
+                if amount.kind != "NUMBER" or amount.text != "1":
+                    raise self.error(
+                        f"only '{var} -= 1' is supported (decrement by one, truncated "
+                        f"at zero), got '-= {amount.text or amount.kind}'"
+                    )
+                self.pos += 1
+                return Decrement(var)
+            raise self.error("expected ':=', '+=', '-= 1' or '--' after variable")
         raise self.error(f"expected a statement, got {tok.text or tok.kind!r}")
 
     def assignment(self, var: str) -> Program:

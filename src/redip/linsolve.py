@@ -1,13 +1,16 @@
 """Exact linear solvers over the rationals.
 
-Two routes to the least nonnegative solution of B = M B + F are provided:
+The production route to the least nonnegative solution of B = M B + F is
+Gaussian elimination on (I - M) B = F (:func:`least_solution_elimination`,
+built on :class:`FactoredSystem`). On a trimmed system (every state reachable
+and co-reachable with positive weight) it is conclusive: a unique solution
+that is componentwise nonnegative is the least one, and a singular system or
+a negative component means the least solution diverges.
 
-* Gaussian elimination on (I - M) B = F. On a trimmed system (every state
-  reachable and co-reachable with positive weight) a unique solution that is
-  componentwise nonnegative is guaranteed to be the least one. A singular
-  system or a negative component means the least solution diverges.
-* An exact two-phase simplex for `min I.B  s.t.  (I - M) B = F, B >= 0`
-  (Bland's rule, so it terminates). Infeasibility certifies divergence.
+:func:`simplex_min` is an exact two-phase simplex for
+`min I.B  s.t.  (I - M) B = F, B >= 0` (Bland's rule, so it terminates),
+whose infeasibility certifies divergence. It is kept only to cross-check
+elimination (`analysis.mass(..., method="lp")`).
 
 Both run entirely on `fractions.Fraction`.
 """

@@ -8,7 +8,7 @@ probability mass beyond the bound is tracked separately as a residual, which
 turns every comparison into a two-sided bound instead of a guess.
 
 The one supported coupling: a custom distribution has no closed form, so its
-probabilities are read from its automaton file directly.
+probabilities are read from its automaton file, by `_custom_pmf` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .analysis import coefficient, coefficient_table, mass
+from .analysis import coefficient_table, mass
 from .dists import (
     Bernoulli,
     Binomial,
@@ -31,7 +31,7 @@ from .dists import (
     Uniform,
     dist_support_bound,
 )
-from .errors import InvalidAutomaton, UnsupportedIid
+from .errors import InvalidAutomaton, RedipError, UnsupportedIid
 from .guards import guard_satisfies
 from .lang import (
     Choice,
@@ -79,6 +79,14 @@ Config = Union[Running, Terminated, Violation]
 # ---------------------------------------------------------------- pmfs
 
 
+def _custom_pmf(spec: Custom, bound: int) -> list[Fraction]:
+    """Exact pmf of a file-defined distribution at 0..bound, read from the
+    coefficients of its automaton file."""
+    a = load_pga(spec.path)
+    # only the first variable has a nonzero bound, so the table runs 0..bound
+    return list(coefficient_table(a, {a.alphabet[0]: bound}).values())
+
+
 def dist_pmf(spec: DistSpec, k: int) -> Fraction:
     """Exact probability of drawing k, by formula."""
     if k < 0:
@@ -103,10 +111,7 @@ def dist_pmf(spec: DistSpec, k: int) -> Fraction:
             return Fraction(1) if k == 0 else Fraction(0)
         return math.comb(k + r - 1, k) * spec.p**r * (1 - spec.p) ** k
     if isinstance(spec, Custom):
-        # no closed form exists for a file-defined distribution; this is the
-        # one place the oracle side reads probabilities out of an automaton
-        a = trim(load_pga(spec.path))
-        return coefficient(a, {a.alphabet[0]: k})
+        return _custom_pmf(spec, k)[k]
     raise TypeError(f"no closed-form pmf for {spec!r}")
 
 
@@ -120,10 +125,7 @@ class _PmfTable:
     def row(self, spec: DistSpec) -> list[Fraction]:
         if spec not in self.rows:
             if isinstance(spec, Custom):
-                a = trim(load_pga(spec.path))
-                var = a.alphabet[0]
-                table = coefficient_table(a, {var: self.truncation})
-                self.rows[spec] = [table.get((k,), Fraction(0)) for k in range(self.truncation + 1)]
+                self.rows[spec] = _custom_pmf(spec, self.truncation)
             else:
                 self.rows[spec] = [dist_pmf(spec, k) for k in range(self.truncation + 1)]
         return self.rows[spec]
@@ -294,19 +296,13 @@ def _sample_dist(spec: DistSpec, rng: random.Random, pmf_cache: dict) -> int:
         return total
     if isinstance(spec, Custom):
         # inverse transform over the file's coefficients, extended on demand
-        if spec not in pmf_cache:
-            a = trim(load_pga(spec.path))
-            pmf_cache[spec] = (a, [])
-        a, pmf = pmf_cache[spec]
+        pmf = pmf_cache.setdefault(spec, [])
         u = rng.random()
         k = 0
         acc = 0.0
-        var = a.alphabet[0]
         while True:
             if k >= len(pmf):
-                new_len = max(2 * len(pmf), 16)
-                row = coefficient_table(a, {var: new_len - 1})
-                pmf[:] = [float(row.get((i,), Fraction(0))) for i in range(new_len)]
+                pmf[:] = [float(p) for p in _custom_pmf(spec, max(2 * len(pmf), 16) - 1)]
             acc += pmf[k]
             if u < acc or acc >= 1.0:
                 return k
@@ -462,7 +458,8 @@ def compare(
             check(f"coefficient {dict(zip(alphabet, sig))}", low, c, low + rho)
 
     z = mass(tr.automaton)
-    assert is_finite(z)
+    if not is_finite(z):
+        raise RedipError("internal error: the translated program has infinite mass")
     check("normalizing constant", report.terminal_mass, z, report.terminal_mass + rho)
     check("violation mass", report.violation, tr.prior_mass - z, report.violation + rho)
 

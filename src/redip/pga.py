@@ -161,10 +161,9 @@ def extend_alphabet(a: Pga, alphabet: Sequence[str]) -> Pga:
     return make_pga(alphabet, a.num_states, a.edges, a.initial, a.final)
 
 
-def trim(a: Pga) -> Pga:
-    """Restrict to useful states: reachable from a positive-initial state and
-    co-reachable to a positive-final state. A behaviorally-zero automaton
-    trims to a single initial state with final weight zero."""
+def reach_and_coreach(a: Pga) -> tuple[set[int], set[int]]:
+    """States reachable from a positive-initial state, and states from which
+    a positive-final state is reachable."""
     fwd: dict[int, list[int]] = {}
     bwd: dict[int, list[int]] = {}
     for e in a.edges:
@@ -182,8 +181,14 @@ def trim(a: Pga) -> Pga:
                     stack.append(t)
         return seen
 
-    reach = closure(a.initial, fwd)
-    coreach = closure(a.final, bwd)
+    return closure(a.initial, fwd), closure(a.final, bwd)
+
+
+def trim(a: Pga) -> Pga:
+    """Restrict to useful states: reachable from a positive-initial state and
+    co-reachable to a positive-final state. A behaviorally-zero automaton
+    trims to a single initial state with final weight zero."""
+    reach, coreach = reach_and_coreach(a)
     useful = sorted(reach & coreach)
     if not useful:
         return make_pga(a.alphabet, 1, [], {0: 1}, {})

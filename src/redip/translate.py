@@ -18,15 +18,19 @@ accumulated so far (starting from the prior):
 
 The automaton is trimmed after every construction; the raw size before
 trimming is recorded so growth bounds can be checked against theory.
+
+The queries on a translated automaton are masses too: `guard_mass` filters
+by a guard and takes the mass, `coefficient` is the guard mass of an
+equality guard, and `marginal` reads a coefficient table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
-from .analysis import mass, normalize
+from .analysis import coefficient_table, mass, normalize
 from .constructions import (
     concat,
     decrement,
@@ -36,8 +40,14 @@ from .constructions import (
     weighted_union,
 )
 from .dists import Dirac, build_dist_pga
-from .errors import InfeasibleObservation, InvalidAutomaton
-from .guards import Guard, build_guard_dfa, guard_negate
+from .errors import (
+    InfeasibleObservation,
+    InfiniteMass,
+    InvalidAutomaton,
+    RedipError,
+    UnknownVariable,
+)
+from .guards import Guard, build_guard_dfa, equality_guard, guard_negate
 from .lang import (
     Choice,
     Decrement,
@@ -192,7 +202,10 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
     z = mass(tr.automaton)
     # increments preserve mass and filtering only removes it, so z is a
     # probability; a diverging z would mean the translation itself is broken
-    assert is_finite(z) and z <= tr.prior_mass
+    if not (is_finite(z) and z <= tr.prior_mass):
+        raise RedipError(
+            f"internal error: normalizing constant {z} exceeds prior mass {tr.prior_mass}"
+        )
     if z == 0:
         raise InfeasibleObservation("all program runs violate an observation")
     posterior = normalize(tr.automaton)
@@ -209,17 +222,26 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
 
 def guard_mass(a: Pga, g: Guard) -> Fraction:
     """Mass of the runs of `a` whose final valuation satisfies the guard."""
-    filtered = trim(product(a, build_guard_dfa(g, a.alphabet)))
-    value = mass(filtered)
+    value = mass(product(a, build_guard_dfa(g, a.alphabet)))
     if not is_finite(value):
-        raise InvalidAutomaton("guard query diverges; automaton has unbounded mass")
+        raise InfiniteMass("guard query diverges; automaton has unbounded mass")
     return value
+
+
+def coefficient(a: Pga, valuation: Mapping[str, int]) -> Fraction:
+    """Exact coefficient of the behavior at one valuation: the guard mass of
+    the conjunction of per-variable equality guards."""
+    for var, count in valuation.items():
+        if var not in a.alphabet:
+            if count != 0:
+                raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
+        elif count < 0:
+            raise InvalidAutomaton(f"negative count {count} for {var}")
+    return guard_mass(a, equality_guard(valuation, a.alphabet))
 
 
 def marginal(a: Pga, var: str, upto: int) -> tuple[list[Fraction], Fraction]:
     """Pointwise marginal of one variable: ([P(var=0..upto)], tail mass)."""
-    from .analysis import coefficient_table
-
     if var not in a.alphabet:
         raise InvalidAutomaton(f"{var!r} not in alphabet {a.alphabet}")
     b = a
@@ -227,12 +249,6 @@ def marginal(a: Pga, var: str, upto: int) -> tuple[list[Fraction], Fraction]:
         if other != var:
             b = trim(label_subst_one(b, other))
     table = coefficient_table(b, {var: upto})
-    idx = a.alphabet.index(var)
-    probs = []
-    for k in range(upto + 1):
-        key = tuple(k if i == idx else 0 for i in range(len(a.alphabet)))
-        probs.append(table.get(key, Fraction(0)))
-    total = mass(b)
-    if not is_finite(total):
-        raise InvalidAutomaton("marginal diverges; automaton has unbounded mass")
-    return probs, total - sum(probs)
+    # only var has a nonzero bound, so the table runs through var = 0..upto
+    probs = list(table.values())
+    return probs, table.total - sum(probs)

@@ -41,7 +41,6 @@ def test_mass_half_loop_is_two():
     a = loop(H, accept=ONE)
     assert mass(a, method="elimination") == 2
     assert mass(a, method="lp") == 2
-    assert mass(a, method="auto") == 2
 
 
 def test_mass_geometric_is_one():

@@ -86,6 +86,17 @@ def test_set_zero_and_increments():
     )
 
 
+def test_minus_equals_one_is_the_decrement():
+    assert parse_program("x -= 1") == Decrement("x")
+    assert parse_program("x += 3; x -= 1") == Seq(IncrConst("x", 3), Decrement("x"))
+
+
+def test_minus_equals_other_amounts_are_rejected():
+    for source in ("x -= 2", "x -= y", "x -= 1.0"):
+        with pytest.raises(RedipSyntaxError, match="only 'x -= 1' is supported"):
+            parse_program(source)
+
+
 def test_skip_is_a_zero_increment_on_the_first_variable():
     assert parse_program("skip") == IncrConst("x", 0)
     assert parse_program("y += 1; skip") == Seq(IncrConst("y", 1), IncrConst("y", 0))

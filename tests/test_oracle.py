@@ -22,6 +22,7 @@ from redip import (
     mc_sample,
     parse_program,
     prior_support,
+    save_pga,
 )
 from redip.oracle import Running, Terminated, Violation, _PmfTable, step
 
@@ -247,3 +248,26 @@ def test_mc_iid_matches_binomial_roughly():
         want = float(dist_pmf(spec, k))
         got = rep.estimate((6, k))
         assert abs(got - want) < 0.02, k
+
+
+# ----- custom distributions
+
+
+def test_oracle_on_a_custom_distribution(tmp_path):
+    """A two-sided die read from a file, drawn twice: 0, 1, 2 with
+    probabilities 1/4, 1/2, 1/4, and the observation drops the 0."""
+    die = make_pga(("t",), 2, [Edge(0, 1, H, "t")], {0: ONE}, {0: H, 1: ONE})
+    path = tmp_path / "die.json"
+    save_pga(die, str(path))
+    p = parse_program(f'x += custom("{path}"); x += custom("{path}"); observe(x >= 1)')
+
+    rep = enumerate_program(p, truncation=5)
+    assert rep.terminal == {(1,): H, (2,): Fraction(1, 4)}
+    assert rep.violation == Fraction(1, 4)
+    assert rep.residual == 0
+
+    assert compare(p, truncation=5).ok
+
+    mc = mc_sample(p, 20000, seed=13)
+    assert abs(mc.violations / mc.samples - 0.25) < 0.02
+    assert abs(mc.estimate((1,)) - 2 / 3) < 0.02
