@@ -3,7 +3,7 @@
 and check every coefficient against the step-by-step interpreter's
 truncation bracket. Any mismatch is printed with the offending program.
 
-    python3 scripts/differential_runner.py --programs 500 --seed 7
+    PYTHONPATH=src python3 scripts/differential_runner.py --programs 500 --seed 7
 """
 
 from __future__ import annotations

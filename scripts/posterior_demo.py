@@ -3,7 +3,7 @@
 the desugared source, each automaton construction with its size before and
 after trimming, the normalizing constant, and per-variable marginals.
 
-    python3 scripts/posterior_demo.py programs/insurance.redip --upto 6
+    PYTHONPATH=src python3 scripts/posterior_demo.py programs/insurance.redip --upto 6
 """
 
 from __future__ import annotations

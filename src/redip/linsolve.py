@@ -7,6 +7,11 @@ and co-reachable with positive weight) it is conclusive: a unique solution
 that is componentwise nonnegative is the least one, and a singular system or
 a negative component means the least solution diverges.
 
+:class:`FactoredSystem` pivots one strongly connected component of the row
+graph at a time, sources first (:func:`strongly_connected_components`). The
+acyclic part of a system then costs one pass over its entries to factor and
+one back-substitution pass to solve; only states on a cycle are eliminated.
+
 :func:`simplex_min` is an exact two-phase simplex for
 `min I.B  s.t.  (I - M) B = F, B >= 0` (Bland's rule, so it terminates),
 whose infeasibility certifies divergence. It is kept only to cross-check
@@ -17,8 +22,9 @@ Both run entirely on `fractions.Fraction`.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,43 +34,103 @@ class SingularSystem(Exception):
     """The coefficient matrix has no unique solution."""
 
 
+def strongly_connected_components(n: int, succ: Sequence[Iterable[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph i -> succ[i] on 0..n-1,
+    sinks first: each component comes after every component it reaches.
+
+    Tarjan's algorithm with an explicit stack, so deep graphs cannot hit the
+    recursion limit; the result depends only on the order of the input.
+    """
+    done = n + 1  # DFS number of a state whose component is already emitted
+    index = [0] * n  # DFS number, 0 while unvisited
+    low = [0] * n
+    counter = itertools.count(1)
+    stack: list[int] = []
+    frames: list[tuple[int, Iterator[int], int]] = []
+    components: list[list[int]] = []
+
+    def enter(v: int) -> None:
+        index[v] = low[v] = next(counter)
+        frames.append((v, iter(succ[v]), len(stack)))
+        stack.append(v)
+
+    for root in range(n):
+        if index[root]:
+            continue
+        enter(root)
+        while frames:
+            v, children, start = frames[-1]
+            for w in children:
+                if not index[w]:
+                    enter(w)
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    components.append(stack[start:])
+                    del stack[start:]
+                    for w in components[-1]:
+                        index[w] = done
+    return components
+
+
 class FactoredSystem:
     """Sparse LU-style factorization of a square rational matrix.
 
-    Rows are dicts column -> Fraction. The elimination order is chosen
-    greedily by row sparsity, which keeps block-triangular systems (the common
-    case for counting products) close to linear time. The factorization can be
-    replayed against many right-hand sides via :meth:`solve`.
+    Rows are dicts column -> Fraction. Row i depends on the columns it holds,
+    a graph i -> c whose strongly connected components are pivoted sources
+    first, so no remaining row ever holds a pivoted column. A singleton
+    pivots on its diagonal with no elimination; a cyclic component is
+    eliminated greedily by row sparsity within its own rows and columns.
+    Factoring costs one pass over the entries plus that elimination. The
+    matrix is singular iff some component is. The factorization can be
+    replayed against many right-hand sides via :meth:`solve`, whose
+    back-substitution is linear in the stored entries.
     """
 
     def __init__(self, n: int, rows: list[dict[int, Fraction]]):
         if len(rows) != n:
             raise ValueError("row count does not match dimension")
-        work = [dict(r) for r in rows]
-        for r in work:
-            for c, v in list(r.items()):
-                if v == 0:
-                    del r[c]
+        work = [{c: v for c, v in r.items() if v != 0} for r in rows]
         self.n = n
         # (target_row, pivot_row, factor): rhs[target] -= factor * rhs[pivot]
         self.ops: list[tuple[int, int, Fraction]] = []
         # (pivot_row, pivot_col, row_dict) in elimination order
         self.pivots: list[tuple[int, int, dict[int, Fraction]]] = []
-        remaining = set(range(n))
+        for component in reversed(strongly_connected_components(n, work)):
+            i = component[0]
+            if len(component) > 1:
+                self._eliminate(component, work)
+            elif i in work[i]:
+                self.pivots.append((i, i, work[i]))
+            else:
+                raise SingularSystem(f"no diagonal entry in acyclic row {i}")
+
+    def _eliminate(self, component: list[int], work: list[dict[int, Fraction]]) -> None:
+        """Pivot only on the component's own columns; fill-in can reach
+        columns of later components, which back-substitution solves first."""
+        members = set(component)
         col_owner: dict[int, list[int]] = {}
-        for i in range(n):
+        for i in component:
             for c in work[i]:
-                col_owner.setdefault(c, []).append(i)
+                if c in members:
+                    col_owner.setdefault(c, []).append(i)
+        remaining = set(component)
         while remaining:
             pivot_row = min(remaining, key=lambda i: (len(work[i]), i))
             row = work[pivot_row]
-            if not row:
-                raise SingularSystem(f"empty row {pivot_row}")
-            pivot_col = min(row, key=lambda c: (len(col_owner.get(c, ())), c))
+            cols = [c for c in row if c in members]
+            if not cols:
+                raise SingularSystem(f"row {pivot_row} has no pivot in its component")
+            pivot_col = min(cols, key=lambda c: (len(col_owner[c]), c))
             pivot_val = row[pivot_col]
             remaining.discard(pivot_row)
-            for other in list(col_owner.get(pivot_col, ())):
-                if other == pivot_row or other not in remaining:
+            for other in list(col_owner[pivot_col]):
+                if other not in remaining:
                     continue
                 orow = work[other]
                 coef = orow.get(pivot_col)
@@ -77,13 +143,10 @@ class FactoredSystem:
                     if nv == 0:
                         orow.pop(c, None)
                     else:
-                        if c not in orow:
-                            col_owner.setdefault(c, []).append(other)
+                        if c not in orow and c in members:
+                            col_owner[c].append(other)
                         orow[c] = nv
             self.pivots.append((pivot_row, pivot_col, row))
-        seen_cols = {c for _, c, _ in self.pivots}
-        if len(seen_cols) != n:
-            raise SingularSystem("rank deficient")
 
     def solve(self, rhs: list[Fraction]) -> list[Fraction]:
         """Solve A x = rhs for the factored A."""

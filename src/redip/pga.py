@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidAutomaton, InvalidWeight
+from .linsolve import strongly_connected_components
 
 Symbol = Optional[str]  # None marks an unlabeled (epsilon) edge
 
@@ -53,9 +54,6 @@ class Pga:
     def symbol_count(self, var: str) -> int:
         """Number of stored transitions labeled with `var`."""
         return sum(1 for e in self.edges if e.symbol == var)
-
-    def edges_from(self, state: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == state]
 
 
 def _as_fraction(value: Union[int, Fraction], what: str) -> Fraction:
@@ -187,9 +185,13 @@ def reach_and_coreach(a: Pga) -> tuple[set[int], set[int]]:
 def trim(a: Pga) -> Pga:
     """Restrict to useful states: reachable from a positive-initial state and
     co-reachable to a positive-final state. A behaviorally-zero automaton
-    trims to a single initial state with final weight zero."""
+    trims to a single initial state with final weight zero. An automaton
+    whose states are all useful is returned as it is: `make_pga` built it, so
+    it is already canonical."""
     reach, coreach = reach_and_coreach(a)
     useful = sorted(reach & coreach)
+    if len(useful) == a.num_states:
+        return a
     if not useful:
         return make_pga(a.alphabet, 1, [], {0: 1}, {})
     index = {q: i for i, q in enumerate(useful)}
@@ -246,28 +248,11 @@ def enumerate_paths(a: Pga, max_len: int) -> list[WeightedPath]:
 
 
 def is_acyclic(a: Pga) -> bool:
-    """True when the edge graph has no directed cycle."""
-    adj: dict[int, list[int]] = {}
+    """True when the edge graph has no directed cycle: every strongly
+    connected component is a single state without a self-loop."""
+    succ: list[list[int]] = [[] for _ in range(a.num_states)]
     for e in a.edges:
-        adj.setdefault(e.src, []).append(e.dst)
-    color = [0] * a.num_states  # 0 new, 1 active, 2 done
-    for root in range(a.num_states):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, i = stack[-1]
-            succ = adj.get(node, ())
-            if i < len(succ):
-                stack[-1] = (node, i + 1)
-                t = succ[i]
-                if color[t] == 1:
-                    return False
-                if color[t] == 0:
-                    color[t] = 1
-                    stack.append((t, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return True
+        if e.src == e.dst:
+            return False
+        succ[e.src].append(e.dst)
+    return all(len(c) == 1 for c in strongly_connected_components(a.num_states, succ))

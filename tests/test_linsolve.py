@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from redip.analysis import mass
 from redip.linsolve import (
     FactoredSystem,
     SingularSystem,
     least_solution_elimination,
     simplex_min,
+    strongly_connected_components,
 )
+from redip.pga import make_pga
+from redip.rational import INF
 
 F = Fraction
 
@@ -157,3 +161,82 @@ def test_routes_agree_including_divergence(seed):
     assert (elim is None) == (lp is None)
     if elim is not None:
         assert elim == lp
+
+
+# ------------------------------------------------- component order
+
+
+def test_acyclic_chain_needs_no_elimination():
+    """A 3,000-state chain 0 -> 1 -> ... pivots on its diagonal, sources
+    first: no elimination op, and nothing recurses on the chain's depth."""
+    n = 3000
+    rows = [{i: F(1), i + 1: F(-1)} for i in range(n - 1)] + [{n - 1: F(1)}]
+    fs = FactoredSystem(n, rows)
+    assert fs.ops == []
+    assert fs.solve([F(0)] * (n - 1) + [F(1)]) == [F(1)] * n
+
+
+def test_strongly_connected_components_sinks_first():
+    # 0 -> {1, 2} -> 3, with 1 <-> 2 a cycle and 3 a self-loop
+    comps = strongly_connected_components(4, [[1], [2, 3], [1], [3]])
+    assert [sorted(c) for c in comps] == [[3], [1, 2], [0]]
+
+
+def _block_triangular_system(rng):
+    """Cyclic blocks of 2-4 states chained through singletons (some with a
+    self-loop); every state has final weight, and edges only lead into the
+    same block or a later one. States are shuffled so the blocks are not
+    contiguous in index order."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        blocks.append(rng.randint(2, 4))
+        blocks.append(1)
+    perm = list(range(sum(blocks)))
+    rng.shuffle(perm)
+    n = len(perm)
+    m_rows = [dict() for _ in range(n)]
+
+    def edge(i, j):
+        m_rows[perm[i]][perm[j]] = F(rng.randint(1, 8), 8)
+
+    start = 0
+    for size in blocks:
+        members = range(start, start + size)
+        if size > 1:
+            for k in members:  # a cycle through the whole block
+                edge(k, start + (k - start + 1) % size)
+            for _ in range(rng.randint(0, size)):
+                edge(rng.choice(members), rng.choice(members))
+        elif rng.random() < 0.5:
+            edge(start, start)
+        end = start + size
+        if end < n:
+            edge(rng.choice(members), end)  # chain into the next block
+            for _ in range(rng.randint(0, 2)):
+                edge(rng.choice(members), rng.randrange(end, n))
+        start = end
+    f = [F(rng.randint(1, 3), 3) for _ in range(n)]
+    initial = [F(0)] * n
+    initial[perm[0]] = F(1)
+    return n, m_rows, f, initial
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_block_triangular_systems_match_the_simplex(seed):
+    """Elimination inside cyclic components, fill-in reaching later blocks:
+    the value equals the simplex optimum, and None iff the LP is infeasible."""
+    n, m_rows, f, initial = _block_triangular_system(random.Random(seed))
+    elim, lp = _route_pair(n, m_rows, f, initial)
+    assert (elim is None) == (lp is None)
+    if elim is not None:
+        assert elim == lp
+
+
+def test_singular_cycle_below_a_singleton_prefix_diverges():
+    # 0 -> 1 -> {2 <-> 3} with weight-1 edges on the cycle
+    m_rows = [{1: F(1, 2)}, {2: F(1, 2)}, {3: F(1)}, {2: F(1)}]
+    f = [F(0), F(0), F(0), F(1)]
+    assert least_solution_elimination(4, m_rows, f) is None
+    edges = [(0, 1, F(1, 2), "x"), (1, 2, F(1, 2)), (2, 3, F(1)), (3, 2, F(1), "x")]
+    a = make_pga(("x",), 4, edges, {0: F(1)}, {3: F(1)})
+    assert mass(a) is INF

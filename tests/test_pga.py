@@ -213,6 +213,19 @@ def test_trim_is_idempotent_on_random_automata():
         assert trim(t) == t
 
 
+def test_trim_returns_a_trimmed_automaton_itself():
+    a = make_pga(
+        ("x",),
+        3,
+        [Edge(0, 1, H, "x"), Edge(1, 1, H, None), Edge(2, 1, H, "x")],  # 2 unreachable
+        {0: Fraction(1)},
+        {1: Fraction(1)},
+    )
+    t = trim(a)
+    assert t.num_states == 2
+    assert trim(t) is t
+
+
 # ----- path enumeration
 
 
