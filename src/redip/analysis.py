@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import linsolve
 from .errors import InfiniteMass, UnknownVariable, ZeroMass
@@ -171,8 +171,3 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
             pending_uses[key] = uses
         table[key] = sum((w * vec[q] for q, w in t.initial.items()), ZERO)
     return table
-
-
-def valuation_key(valuation: Mapping[str, int], alphabet: Sequence[str]) -> tuple[int, ...]:
-    """Align a valuation mapping with an alphabet ordering."""
-    return tuple(valuation.get(var, 0) for var in alphabet)

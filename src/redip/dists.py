@@ -165,22 +165,3 @@ def _build_custom(spec: Custom, var: str, alphabet: Sequence[str]) -> Pga:
     old = loaded.alphabet[0]
     relettered = loaded if old == var else rename_variable(loaded, old, var)
     return extend_alphabet(relettered, alphabet)
-
-
-def dist_support_bound(spec: DistSpec) -> int | None:
-    """Largest value with positive probability, or None when unbounded."""
-    if isinstance(spec, Bernoulli):
-        return 1 if spec.p > 0 else 0
-    if isinstance(spec, Dirac):
-        return spec.value
-    if isinstance(spec, Uniform):
-        return spec.size - 1
-    if isinstance(spec, Binomial):
-        return spec.trials if spec.p > 0 else 0
-    if isinstance(spec, (Geometric, NegBinomial)):
-        if isinstance(spec, NegBinomial) and spec.successes == 0:
-            return 0
-        if spec.p == 1:
-            return 0
-        return None
-    return None

@@ -66,12 +66,13 @@ def guard_size(g: Guard) -> int:
     return 1
 
 
-def guard_vars(g: Guard) -> set[str]:
+def guard_vars(g: Guard) -> tuple[str, ...]:
+    """Variables in order of first appearance."""
     if isinstance(g, And):
-        return guard_vars(g.left) | guard_vars(g.right)
+        return tuple(dict.fromkeys(guard_vars(g.left) + guard_vars(g.right)))
     if isinstance(g, Not):
         return guard_vars(g.inner)
-    return {g.var}
+    return (g.var,)
 
 
 def guard_satisfies(valuation: Mapping[str, int], g: Guard) -> bool:
@@ -161,18 +162,14 @@ def dfa_less_than(var: str, bound: int, alphabet: Sequence[str]) -> GuardDfa:
         raise UnknownVariable(f"{var!r} not in alphabet {tuple(alphabet)}")
     if bound < 0:
         raise GuardConstraintError(f"negative bound {bound}")
-    if bound == 0:
-        delta = {(0, v): 0 for v in alphabet}
-        return make_dfa(alphabet, 1, 0, [], delta)
-    n = bound
     delta = {}
-    for q in range(n + 1):
+    for q in range(bound + 1):
         for v in alphabet:
             if v == var:
-                delta[(q, v)] = min(q + 1, n)
+                delta[(q, v)] = min(q + 1, bound)
             else:
                 delta[(q, v)] = q
-    return make_dfa(alphabet, n + 1, 0, range(n), delta)
+    return make_dfa(alphabet, bound + 1, 0, range(bound), delta)
 
 
 def dfa_mod(var: str, modulus: int, residue: int, alphabet: Sequence[str]) -> GuardDfa:
@@ -223,7 +220,7 @@ def dfa_product(d1: GuardDfa, d2: GuardDfa) -> GuardDfa:
 
 def build_guard_dfa(g: Guard, alphabet: Sequence[str]) -> GuardDfa:
     """Compile a guard to a complete DFA over the given alphabet."""
-    missing = guard_vars(g) - set(alphabet)
+    missing = [v for v in guard_vars(g) if v not in alphabet]
     if missing:
         raise UnknownVariable(f"guard mentions {sorted(missing)} outside {tuple(alphabet)}")
     if isinstance(g, LessThan):

@@ -5,9 +5,11 @@ understand) are: set a variable to zero, add a constant / another variable /
 a distribution sample / an iid sum of samples, decrement, observe a guard,
 probabilistic choice, conditional, and sequencing.
 
-Surface conveniences all desugar at parse time:
+Surface conveniences are rewritten into core nodes as they are parsed, in
+one pass; the sugar that needs a variable binds to x0, the first variable
+token of the program (`x` when there is none):
 
-* `skip`               -> `x0 += 0` for the first program variable x0
+* `skip`               -> `x0 += 0`
 * `x := e` (linear e)  -> set-to-zero plus increments; a self-reference with
                           coefficient one skips the set-to-zero
 * `<=, ==, !=, >, >=`  -> threshold atoms, conjunction, negation
@@ -35,7 +37,7 @@ from .dists import (
     Uniform,
 )
 from .errors import InvalidParameter, ProbabilityRangeError, RedipSyntaxError, UnknownVariable
-from .guards import And, Guard, LessThan, ModEq, Not
+from .guards import And, Guard, LessThan, ModEq, Not, guard_vars
 
 # ---------------------------------------------------------------- core AST
 
@@ -122,17 +124,6 @@ def program_size(p: Program) -> int:
     raise TypeError(f"not a program: {p!r}")
 
 
-def _guard_vars_ordered(g: Guard, out: list[str]) -> None:
-    if isinstance(g, (LessThan, ModEq)):
-        if g.var not in out:
-            out.append(g.var)
-    elif isinstance(g, And):
-        _guard_vars_ordered(g.left, out)
-        _guard_vars_ordered(g.right, out)
-    elif isinstance(g, Not):
-        _guard_vars_ordered(g.inner, out)
-
-
 def program_vars(p: Program) -> tuple[str, ...]:
     """Variables in order of first appearance; this is the program alphabet."""
     out: list[str] = []
@@ -142,9 +133,7 @@ def program_vars(p: Program) -> tuple[str, ...]:
             out.append(v)
 
     def walk(node: Program) -> None:
-        if isinstance(node, (SetZero, IncrConst, Decrement)):
-            add(node.var)
-        elif isinstance(node, IncrDist):
+        if isinstance(node, (SetZero, IncrConst, IncrDist, Decrement)):
             add(node.var)
         elif isinstance(node, IncrVar):
             add(node.var)
@@ -153,12 +142,14 @@ def program_vars(p: Program) -> tuple[str, ...]:
             add(node.var)
             add(node.count_var)
         elif isinstance(node, Observe):
-            _guard_vars_ordered(node.guard, out)
+            for v in guard_vars(node.guard):
+                add(v)
         elif isinstance(node, Choice):
             walk(node.left)
             walk(node.right)
         elif isinstance(node, IfElse):
-            _guard_vars_ordered(node.guard, out)
+            for v in guard_vars(node.guard):
+                add(v)
             walk(node.then_branch)
             walk(node.else_branch)
         elif isinstance(node, Seq):
@@ -172,12 +163,15 @@ def program_vars(p: Program) -> tuple[str, ...]:
 
 
 def seq_all(stmts: list[Program]) -> Program:
+    """Sequence statements as a balanced tree, so that every walk over `Seq`
+    recurses O(log n) deep on an n-statement chain; three statements keep the
+    left-associated shape Seq(Seq(a, b), c)."""
     if not stmts:
         raise ValueError("empty statement list")
-    out = stmts[0]
-    for s in stmts[1:]:
-        out = Seq(out, s)
-    return out
+    if len(stmts) == 1:
+        return stmts[0]
+    mid = (len(stmts) + 1) // 2
+    return Seq(seq_all(stmts[:mid]), seq_all(stmts[mid:]))
 
 
 # ---------------------------------------------------------------- tokens
@@ -273,27 +267,11 @@ def tokenize(source: str) -> list[Token]:
 
 # ---------------------------------------------------------------- parser
 
-# placeholders resolved once the first program variable is known
-@dataclass(frozen=True)
-class _SkipStmt:
-    pass
-
-
-@dataclass(frozen=True)
-class _TrueGuard:
-    var: str = ""
-
-
-@dataclass(frozen=True)
-class _FalseGuard:
-    var: str = ""
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], x0: str):
         self.toks = tokens
         self.pos = 0
-        self.vars_seen: list[str] = []
+        self.x0 = x0  # the variable `skip`, `true` and `false` are rewritten onto
 
     @property
     def cur(self) -> Token:
@@ -325,8 +303,6 @@ class _Parser:
         if tok.text in _DIST_NAMES:
             raise self.error(f"{tok.text!r} is a reserved distribution name")
         self.pos += 1
-        if tok.text not in self.vars_seen:
-            self.vars_seen.append(tok.text)
         return tok.text
 
     def natural(self) -> int:
@@ -373,7 +349,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "KEYWORD" and tok.text == "skip":
             self.pos += 1
-            return _SkipStmt()
+            return IncrConst(self.x0, 0)
         if tok.kind == "KEYWORD" and tok.text == "observe":
             self.pos += 1
             self.expect("OP", "(")
@@ -531,9 +507,9 @@ class _Parser:
     def guard_primary(self) -> Guard:
         tok = self.cur
         if self.accept("KEYWORD", "true"):
-            return _TrueGuard()
+            return Not(LessThan(self.x0, 0))
         if self.accept("KEYWORD", "false"):
-            return _FalseGuard()
+            return LessThan(self.x0, 0)
         if self.accept("OP", "("):
             g = self.guard()
             self.expect("OP", ")")
@@ -576,55 +552,27 @@ def _compare(var: str, op: str, n: int) -> Guard:
     return Not(eq)
 
 
-def _resolve_guard(g: Guard, x0: str) -> Guard:
-    if isinstance(g, _TrueGuard):
-        return Not(LessThan(x0, 0))
-    if isinstance(g, _FalseGuard):
-        return LessThan(x0, 0)
-    if isinstance(g, And):
-        return And(_resolve_guard(g.left, x0), _resolve_guard(g.right, x0))
-    if isinstance(g, Not):
-        return Not(_resolve_guard(g.inner, x0))
-    return g
-
-
-def _resolve(p: Program, x0: str) -> Program:
-    if isinstance(p, _SkipStmt):
-        return IncrConst(x0, 0)
-    if isinstance(p, Observe):
-        return Observe(_resolve_guard(p.guard, x0))
-    if isinstance(p, IfElse):
-        return IfElse(
-            _resolve_guard(p.guard, x0),
-            _resolve(p.then_branch, x0),
-            _resolve(p.else_branch, x0),
-        )
-    if isinstance(p, Choice):
-        return Choice(_resolve(p.left, x0), p.prob, _resolve(p.right, x0))
-    if isinstance(p, Seq):
-        return Seq(_resolve(p.first, x0), _resolve(p.second, x0))
-    return p
-
-
 def parse_program(source: str) -> Program:
     """Parse and desugar a source program; raises RedipSyntaxError with a
     1-based line:column position on bad input."""
-    parser = _Parser(tokenize(source))
-    surface = parser.program()
+    tokens = tokenize(source)
+    # the parser reads every other identifier as a variable, in token order
+    x0 = next(
+        (t.text for t in tokens if t.kind == "IDENT" and t.text not in _DIST_NAMES), "x"
+    )
+    parser = _Parser(tokens, x0)
+    p = parser.program()
     parser.expect("EOF")
-    x0 = parser.vars_seen[0] if parser.vars_seen else "x"
-    return _resolve(surface, x0)
+    return p
 
 
 def parse_guard(source: str, alphabet: tuple[str, ...]) -> Guard:
     """Parse a standalone guard (for queries). Variables must come from the
     given alphabet."""
-    parser = _Parser(tokenize(source))
-    surface = parser.guard()
+    parser = _Parser(tokenize(source), alphabet[0] if alphabet else "x")
+    g = parser.guard()
     parser.expect("EOF")
-    x0 = alphabet[0] if alphabet else "x"
-    g = _resolve_guard(surface, x0)
-    unknown = [v for v in parser.vars_seen if v not in alphabet]
+    unknown = [v for v in guard_vars(g) if v not in alphabet]
     if unknown:
         raise UnknownVariable(f"guard mentions {unknown} outside {alphabet}")
     return g

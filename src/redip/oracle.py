@@ -29,7 +29,6 @@ from .dists import (
     Geometric,
     NegBinomial,
     Uniform,
-    dist_support_bound,
 )
 from .errors import InvalidAutomaton, RedipError, UnsupportedIid
 from .guards import guard_satisfies
@@ -230,7 +229,7 @@ def enumerate_program(
     weighted list of initial valuations (a prior's support); default is the
     all-zero valuation with weight one.
     """
-    alphabet = alphabet if alphabet is not None else (program_vars(p) or ("x",))
+    alphabet = alphabet if alphabet is not None else program_vars(p)
     pmfs = _PmfTable(truncation)
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
 
@@ -335,7 +334,7 @@ def mc_sample(
     Supports iid increments (the count variable is read at run time), so this
     is the route for validating programs the exact oracle refuses.
     """
-    alphabet = alphabet if alphabet is not None else (program_vars(p) or ("x",))
+    alphabet = alphabet if alphabet is not None else program_vars(p)
     rng = random.Random(seed)
     index = {v: i for i, v in enumerate(alphabet)}
     pmf_cache: dict = {}

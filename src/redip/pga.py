@@ -98,7 +98,10 @@ def make_pga(
             else:
                 src, dst, weight, symbol = item
         if not (0 <= src < num_states and 0 <= dst < num_states):
-            raise InvalidAutomaton(f"edge ({src},{dst}) out of range for {num_states} states")
+            bad = dst if 0 <= src < num_states else src
+            raise InvalidAutomaton(
+                f"edge ({src},{dst}) references state {bad} of a {num_states}-state automaton"
+            )
         if symbol is not None and symbol not in alpha:
             raise InvalidAutomaton(f"edge symbol {symbol!r} not in alphabet {alpha}")
         w = _as_fraction(weight, "edge weight")
@@ -117,7 +120,9 @@ def make_pga(
         out: dict[int, Fraction] = {}
         for q in sorted(m):
             if not (0 <= q < num_states):
-                raise InvalidAutomaton(f"{what} state {q} out of range")
+                raise InvalidAutomaton(
+                    f"{what} references state {q} of a {num_states}-state automaton"
+                )
             w = _as_fraction(m[q], f"{what} weight")
             if w != 0:
                 out[q] = w

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import InvalidWeight, PgaParseError
+from .errors import InvalidAutomaton, InvalidWeight, PgaParseError
 from .pga import Edge, Pga, make_pga
 from .rational import format_weight, parse_weight
 
@@ -75,18 +75,11 @@ def pga_from_dict(data: Any) -> Pga:
         for name, v in (("src", src), ("dst", dst)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise PgaParseError(f"edge {pos}: {name} must be an integer")
-            if not 0 <= v < states:
-                raise PgaParseError(
-                    f"edge {pos} references state {v} of a {states}-state automaton"
-                )
-        symbol = item.get("symbol")
-        if symbol is not None and symbol not in alphabet:
-            raise PgaParseError(f"edge {pos}: symbol {symbol!r} not in alphabet")
         try:
             w = parse_weight(weight)
         except InvalidWeight as exc:
             raise PgaParseError(f"edge {pos}: {exc}") from exc
-        edges.append(Edge(src, dst, w, symbol))
+        edges.append(Edge(src, dst, w, item.get("symbol")))
 
     def weight_map(key: str) -> dict[int, Any]:
         raw = data[key]
@@ -98,15 +91,17 @@ def pga_from_dict(data: Any) -> Pga:
                 q = int(qs)
             except (TypeError, ValueError):
                 raise PgaParseError(f"{key}: state key {qs!r} is not an integer") from None
-            if not 0 <= q < states:
-                raise PgaParseError(f"{key} references state {q} of a {states}-state automaton")
             try:
                 out[q] = parse_weight(ws)
             except InvalidWeight as exc:
                 raise PgaParseError(f"{key}[{q}]: {exc}") from exc
         return out
 
-    return make_pga(alphabet, states, edges, weight_map("initial"), weight_map("final"))
+    # state ranges, edge symbols and the alphabet itself are checked by make_pga
+    try:
+        return make_pga(alphabet, states, edges, weight_map("initial"), weight_map("final"))
+    except (InvalidAutomaton, InvalidWeight) as exc:
+        raise PgaParseError(str(exc)) from exc
 
 
 def pga_to_json(a: Pga) -> str:

@@ -165,9 +165,8 @@ def working_alphabet(p: Program, prior: Optional[Pga]) -> tuple[str, ...]:
     """Program variables in appearance order, then any extra prior variables."""
     pvars = program_vars(p)
     if prior is None:
-        return pvars or ("x",)
-    extra = tuple(v for v in prior.alphabet if v not in pvars)
-    return (pvars + extra) or prior.alphabet
+        return pvars
+    return pvars + tuple(v for v in prior.alphabet if v not in pvars)
 
 
 def translate(p: Program, prior: Optional[Pga] = None) -> TranslationResult:

@@ -20,7 +20,6 @@ from redip import (
     normalize,
     trim,
     validate_pga,
-    valuation_key,
 )
 
 from conftest import rand_pga, series_of
@@ -219,8 +218,3 @@ def test_coefficient_table_rejects_unknown_and_divergent():
         coefficient_table(loop(H), {"q": 2})
     with pytest.raises(InfiniteMass):
         coefficient_table(loop(ONE), {"x": 2})
-
-
-def test_valuation_key_alignment():
-    assert valuation_key({"y": 2}, ("x", "y")) == (0, 2)
-    assert valuation_key({}, ("x",)) == (0,)

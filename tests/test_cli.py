@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from redip import pga_from_json, pga_to_json, make_pga, Edge
+from redip import pga_from_json, pga_to_json, make_pga, Edge, infer, parse_program
 from redip.cli import main
 
 from fractions import Fraction
@@ -111,6 +111,16 @@ def test_infer_steps_table(program, capsys):
     assert "union" in out and "concat" in out
 
 
+def test_infer_long_straight_line_program(tmp_path, capsys):
+    # a left-leaning Seq chain this long would exceed the recursion limit
+    source = ";\n".join(["observe(x < 1)"] * 3000)
+    assert infer(parse_program(source)).normalizing_constant == 1
+    path = tmp_path / "long.redip"
+    path.write_text(source)
+    assert main(["infer", str(path)]) == 0
+    assert "normalizing constant: 1" in capsys.readouterr().out
+
+
 # ----- query
 
 
@@ -128,6 +138,15 @@ def test_query_coefficient_and_guard(program, tmp_path, capsys):
 
 def test_query_missing_file_exit_code(capsys):
     assert main(["query", "/nonexistent/a.json", "--at", "x=1"]) == 3
+    assert "file error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphabet", [["x", "x"], [""]])
+def test_query_bad_alphabet_file_exit_code(tmp_path, capsys, alphabet):
+    path = tmp_path / "bad.json"
+    data = {"alphabet": alphabet, "states": 1, "edges": [], "initial": {"0": "1"}, "final": {}}
+    path.write_text(json.dumps(data))
+    assert main(["query", str(path), "--guard", "x < 1"]) == 3
     assert "file error" in capsys.readouterr().err
 
 

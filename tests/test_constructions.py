@@ -24,8 +24,6 @@ from redip import (
     coefficient,
     concat,
     decrement,
-    dfa_complement,
-    dfa_less_than,
     guard_satisfies,
     label_subst_one,
     label_subst_zero,

@@ -19,7 +19,6 @@ from redip import (
     build_dist_pga,
     coefficient_table,
     dist_pmf,
-    dist_support_bound,
     make_pga,
     mass,
     save_pga,
@@ -134,21 +133,6 @@ def test_parameter_validation():
         NegBinomial(2, Fraction(0))
 
 
-# ----- support bounds
-
-
-def test_support_bounds():
-    assert dist_support_bound(Bernoulli(H)) == 1
-    assert dist_support_bound(Bernoulli(Fraction(0))) == 0
-    assert dist_support_bound(Dirac(5)) == 5
-    assert dist_support_bound(Uniform(4)) == 3
-    assert dist_support_bound(Binomial(6, H)) == 6
-    assert dist_support_bound(Geometric(H)) is None
-    assert dist_support_bound(Geometric(Fraction(1))) == 0
-    assert dist_support_bound(NegBinomial(3, H)) is None
-    assert dist_support_bound(NegBinomial(0, H)) == 0
-
-
 # ----- custom distributions from files
 
 
@@ -176,7 +160,6 @@ def test_custom_distribution_round_trip(tmp_path):
     assert dist_pmf(spec, 0) == H
     assert dist_pmf(spec, 1) == H
     assert dist_pmf(spec, 2) == 0
-    assert dist_support_bound(spec) is None  # unknowable from the file alone
 
 
 def test_custom_rejects_wrong_mass(tmp_path):

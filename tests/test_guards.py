@@ -17,18 +17,13 @@ from redip import (
     ModEq,
     Not,
     build_guard_dfa,
-    dfa_accepts,
-    dfa_complement,
-    dfa_less_than,
-    dfa_mod,
-    dfa_product,
     equality_guard,
     guard_negate,
     guard_satisfies,
     guard_size,
     guard_vars,
-    parikh,
 )
+from redip.guards import dfa_accepts, dfa_complement, dfa_less_than, dfa_mod, dfa_product, parikh
 
 from conftest import rand_guard
 
@@ -91,7 +86,7 @@ def test_guard_constructors_validate():
 def test_guard_size_and_vars():
     g = And(LessThan("x", 2), Not(ModEq("y", 2, 0)))
     assert guard_size(g) == 2
-    assert guard_vars(g) == {"x", "y"}
+    assert guard_vars(g) == ("x", "y")
 
 
 def test_guard_negate_collapses_double_negation():

@@ -36,9 +36,8 @@ from redip import (
     program_size,
     program_to_text,
     program_vars,
-    seq_all,
 )
-from redip.lang import tokenize
+from redip.lang import seq_all, tokenize
 
 H = Fraction(1, 2)
 
@@ -100,6 +99,16 @@ def test_minus_equals_other_amounts_are_rejected():
 def test_skip_is_a_zero_increment_on_the_first_variable():
     assert parse_program("skip") == IncrConst("x", 0)
     assert parse_program("y += 1; skip") == Seq(IncrConst("y", 1), IncrConst("y", 0))
+
+
+def test_sugar_before_the_first_variable_binds_to_it():
+    assert parse_program("skip; y += 1") == Seq(IncrConst("y", 0), IncrConst("y", 1))
+    assert parse_program("observe(true); y += 1").first.guard == Not(LessThan("y", 0))
+    assert parse_guard("true", ("y", "x")) == Not(LessThan("y", 0))
+
+
+def test_not_true_collapses_the_double_negation():
+    assert parse_program("observe(not true)").guard == LessThan("x", 0)
 
 
 def test_sequencing_left_associates():
@@ -277,9 +286,10 @@ statements = st.recursive(
 )
 
 
-def left_assoc(p):
-    """Rebuild every Seq tree left-associated; rendering flattens `;` chains,
-    so association is the one shape a round trip cannot preserve."""
+def canonical_assoc(p):
+    """Rebuild every Seq tree in the canonical association of `seq_all`;
+    rendering flattens `;` chains, so association is the one shape a round
+    trip cannot preserve."""
     if isinstance(p, Seq):
         flat = []
         stack = [p]
@@ -289,19 +299,19 @@ def left_assoc(p):
                 stack.append(node.second)
                 stack.append(node.first)
             else:
-                flat.append(left_assoc(node))
+                flat.append(canonical_assoc(node))
         return seq_all(flat)
     if isinstance(p, Choice):
-        return Choice(left_assoc(p.left), p.prob, left_assoc(p.right))
+        return Choice(canonical_assoc(p.left), p.prob, canonical_assoc(p.right))
     if isinstance(p, IfElse):
-        return IfElse(p.guard, left_assoc(p.then_branch), left_assoc(p.else_branch))
+        return IfElse(p.guard, canonical_assoc(p.then_branch), canonical_assoc(p.else_branch))
     return p
 
 
 @settings(max_examples=200, deadline=None)
 @given(statements)
 def test_render_parse_round_trip(p):
-    assert parse_program(program_to_text(p)) == left_assoc(p)
+    assert parse_program(program_to_text(p)) == canonical_assoc(p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,10 +21,9 @@ from redip import (
     make_pga,
     mc_sample,
     parse_program,
-    prior_support,
     save_pga,
 )
-from redip.oracle import Running, Terminated, Violation, _PmfTable, step
+from redip.oracle import Running, Terminated, Violation, _PmfTable, prior_support, step
 
 H = Fraction(1, 2)
 ONE = Fraction(1)

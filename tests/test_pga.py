@@ -10,13 +10,11 @@ from redip import (
     InvalidAutomaton,
     InvalidWeight,
     enumerate_paths,
-    extend_alphabet,
-    is_acyclic,
     make_pga,
-    rename_variable,
     trim,
     unit_pga,
 )
+from redip.pga import extend_alphabet, is_acyclic, rename_variable
 
 from conftest import rand_pga, series_of
 

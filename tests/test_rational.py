@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redip import INF, InvalidWeight, decimal_str, format_weight, is_finite, parse_weight
+from redip import INF, InvalidWeight, is_finite
+from redip.rational import decimal_str, format_weight, parse_weight
 
 
 def test_parse_weight_accepts_canonical_forms():

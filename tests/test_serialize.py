@@ -11,13 +11,12 @@ from redip import (
     PgaParseError,
     load_pga,
     make_pga,
-    pga_from_dict,
     pga_from_json,
-    pga_to_dict,
     pga_to_dot,
     pga_to_json,
     save_pga,
 )
+from redip.serialize import pga_from_dict, pga_to_dict
 
 from conftest import rand_pga
 
@@ -137,6 +136,13 @@ def test_bool_states_rejected():
     d = good()
     d["states"] = True
     with pytest.raises(PgaParseError, match="states must be a positive integer"):
+        pga_from_dict(d)
+
+
+def test_duplicate_alphabet_variable_rejected():
+    d = good()
+    d["alphabet"] = ["x", "x"]
+    with pytest.raises(PgaParseError, match="duplicate variable"):
         pga_from_dict(d)
 
 
