@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Print one fingerprint line per program, to check that two source trees
+give bit-identical answers.
+
+Each line holds the program's index and name, a SHA-256 prefix of the
+posterior automaton's JSON (or the error class and message), the normalizing
+constant z, and SHA-256 prefixes of the step records, of `program_to_text`
+and of the answers to the program's queries. The corpus is the benchmark's
+small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
+m=18, and a few programs heavy in syntactic sugar. The output does not
+depend on PYTHONHASHSEED. Run it once per tree and compare:
+
+    PYTHONPATH=<tree>/src python3 scripts/fingerprint.py --seeds 3 4 > <tree>.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # keep perfbench/ free of compiled files
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (the benchmark's corpus, imported read-only)
+from redip import (  # noqa: E402
+    RedipError,
+    guard_mass,
+    infer,
+    marginal,
+    parse_guard,
+    parse_program,
+    pga_to_json,
+    program_to_text,
+)
+
+# one custom distribution, written next to the programs that read it
+DIE = {
+    "alphabet": ["x"],
+    "states": 2,
+    "edges": [{"src": 0, "dst": 1, "weight": "1/2", "symbol": "x"}],
+    "initial": {"0": "1"},
+    "final": {"0": "1/2", "1": "1"},
+}
+
+SUGAR = (
+    "skip; x += 2; observe(true); y := x + 1; observe(not false)",
+    "x += uniform(4); if (x != 2) { y += dirac(3) } else { skip }; observe(x <= 2 or y > 1)",
+    "x += binomial(5, 1/3); y += negbinomial(2, 1/2); observe(x >= 1 and y != 3)",
+    "{ x += bernoulli(0.25) } [1/3] { x += geometric(1/2) }; observe(x == 1 or x == 0)",
+    'x += custom("die.json"); y += iid(custom("die.json"), x); observe(y < 2)',
+    "x += 3; x -= 1; x--; if (x % 2 == 0 or false) { y += x } else { y := 2 * x }",
+    "observe(false); x += 1",
+    "x += geometric(1/3); if (not (x < 2 and x > 0)) { x := 0 } else { skip }",
+)
+
+
+def corpus(seeds: list[int]) -> list[workloads.Case]:
+    cases: list[workloads.Case] = []
+    for seed in seeds:
+        cases += workloads.small_corpus(seed)
+    cases += workloads.geo_chain(0, 6) + workloads.geo_chain(0, 14)
+    cases += workloads.dec_ladder(0, 8) + workloads.dec_ladder(0, 18)
+    cases += [workloads.Case(f"sugar-{i}", src, ()) for i, src in enumerate(SUGAR)]
+    return cases
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def fingerprint(case: workloads.Case) -> str:
+    text = "-"
+    try:
+        p = parse_program(case.source)
+        text = digest(program_to_text(p))
+        result = infer(p)
+        posterior = result.posterior
+        answers = [
+            guard_mass(posterior, parse_guard(q.guard, posterior.alphabet))
+            if q.guard is not None
+            else marginal(posterior, q.var, q.upto)
+            for q in case.queries
+        ]
+    except RedipError as exc:
+        return f"text={text} error={type(exc).__name__}: {exc}"
+    return (
+        f"posterior={digest(pga_to_json(posterior))} z={result.normalizing_constant} "
+        f"steps={digest(repr(result.steps))} text={text} answers={digest(repr(answers))}"
+    )
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4], help="small-corpus seeds")
+    args = ap.parse_args()
+    cases = corpus(args.seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "die.json").write_text(json.dumps(DIE), encoding="utf-8")
+        os.chdir(tmp)  # the sugar programs name the custom file by a relative path
+        for i, case in enumerate(cases):
+            print(f"{i} {case.name} {fingerprint(case)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

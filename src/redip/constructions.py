@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidAutomaton, UnknownVariable
-from .guards import GuardDfa, dfa_complement, dfa_less_than
+from .guards import GuardDfa, LessThan, Not, build_guard_dfa
 from .pga import Edge, Pga, make_pga
 
 
@@ -154,7 +154,7 @@ def decrement(a: Pga, var: str) -> Pga:
     The two parts are combined by an unweighted disjoint union.
     """
     _require_var(a, var)
-    positive = dfa_complement(dfa_less_than(var, 1, a.alphabet))
+    positive = build_guard_dfa(Not(LessThan(var, 1)), a.alphabet)
     # positive has exactly two states: 0 (start, rejecting), 1 (accepting);
     # its only var-advancing transition is 0 -> 1.
     prod = product(a, positive)

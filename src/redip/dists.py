@@ -109,19 +109,11 @@ def build_dist_pga(spec: DistSpec, var: str, alphabet: Sequence[str]) -> Pga:
     hosted on the full program alphabet."""
     if var not in alphabet:
         raise InvalidParameter(f"{var!r} not in alphabet {tuple(alphabet)}")
+    # make_pga drops the zero weights of the p = 0 and p = 1 cases
     if isinstance(spec, Geometric):
-        edges = []
-        if spec.p < 1:
-            edges.append((0, 0, 1 - spec.p, var))
-        return make_pga(alphabet, 1, edges, {0: 1}, {0: spec.p})
+        return make_pga(alphabet, 1, [(0, 0, 1 - spec.p, var)], {0: 1}, {0: spec.p})
     if isinstance(spec, Bernoulli):
-        edges = []
-        if spec.p > 0:
-            edges.append((0, 1, spec.p, var))
-        final = {1: Fraction(1)}
-        if spec.p < 1:
-            final[0] = 1 - spec.p
-        return make_pga(alphabet, 2, edges, {0: 1}, final)
+        return make_pga(alphabet, 2, [(0, 1, spec.p, var)], {0: 1}, {0: 1 - spec.p, 1: 1})
     if isinstance(spec, Dirac):
         n = spec.value
         edges = [(i, i + 1, Fraction(1), var) for i in range(n)]
@@ -131,21 +123,18 @@ def build_dist_pga(spec: DistSpec, var: str, alphabet: Sequence[str]) -> Pga:
         edges = [(i, i + 1, Fraction(1), var) for i in range(m - 1)]
         share = Fraction(1, m)
         return make_pga(alphabet, m, edges, {0: 1}, {i: share for i in range(m)})
-    if isinstance(spec, Binomial):
-        if spec.trials == 0:
+    if isinstance(spec, (Binomial, NegBinomial)):
+        # n independent draws: n chained copies of the one-draw automaton
+        if isinstance(spec, Binomial):
+            n, draw = spec.trials, Bernoulli(spec.p)
+        else:
+            n, draw = spec.successes, Geometric(spec.p)
+        if n == 0:
             return unit_pga(alphabet)
-        step = build_dist_pga(Bernoulli(spec.p), var, alphabet)
-        out = step
-        for _ in range(spec.trials - 1):
-            out = concat(out, step)
-        return out
-    if isinstance(spec, NegBinomial):
-        if spec.successes == 0:
-            return unit_pga(alphabet)
-        step = build_dist_pga(Geometric(spec.p), var, alphabet)
-        out = step
-        for _ in range(spec.successes - 1):
-            out = concat(out, step)
+        one = build_dist_pga(draw, var, alphabet)
+        out = one
+        for _ in range(n - 1):
+            out = concat(out, one)
         return out
     if isinstance(spec, Custom):
         return _build_custom(spec, var, alphabet)

@@ -2,10 +2,12 @@
 
 A guard constrains a valuation. Core connectives are threshold atoms
 (var < bound), congruence atoms (var % modulus == residue, modulus > residue),
-conjunction, and negation; every surface comparison desugars to these. Each
-guard compiles to a complete DFA over the alphabet whose language contains
-exactly the words whose per-variable letter counts satisfy the guard, so the
-language is closed under permutation.
+conjunction, and negation; every surface comparison desugars to these.
+`build_guard_dfa` is the one compiler from a guard to a complete DFA over the
+alphabet whose language contains exactly the words whose per-variable letter
+counts satisfy the guard, so the language is closed under permutation. Every
+`GuardDfa` is built in this module from a checked guard, so it is complete by
+construction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import GuardConstraintError, InvalidAutomaton, UnknownVariable
+from .errors import GuardConstraintError, UnknownVariable
 
 
 @dataclass(frozen=True)
@@ -126,63 +128,27 @@ class GuardDfa:
     delta: dict[tuple[int, str], int]
 
 
-def make_dfa(
-    alphabet: Sequence[str],
-    num_states: int,
-    initial: int,
-    accepting: Iterable[int],
-    delta: Mapping[tuple[int, str], int],
-) -> GuardDfa:
-    alpha = tuple(alphabet)
-    if num_states < 1:
-        raise InvalidAutomaton("a DFA needs at least one state")
-    if not (0 <= initial < num_states):
-        raise InvalidAutomaton(f"initial state {initial} out of range")
-    acc = frozenset(accepting)
-    if any(not (0 <= q < num_states) for q in acc):
-        raise InvalidAutomaton("accepting state out of range")
-    d: dict[tuple[int, str], int] = {}
-    for q in range(num_states):
-        for v in alpha:
-            t = delta.get((q, v))
-            if t is None or not (0 <= t < num_states):
-                raise InvalidAutomaton(f"transition ({q},{v}) missing or out of range")
-            d[(q, v)] = t
-    return GuardDfa(alpha, num_states, initial, acc, d)
-
-
-def dfa_less_than(var: str, bound: int, alphabet: Sequence[str]) -> GuardDfa:
+def dfa_less_than(var: str, bound: int, alphabet: tuple[str, ...]) -> GuardDfa:
     """Counter chain for var < bound.
 
     States 0..bound count occurrences of var (saturating at bound, a rejecting
     sink); other variables self-loop. bound = 0 is the single-state rejecting
     automaton for an unsatisfiable threshold.
     """
-    if var not in alphabet:
-        raise UnknownVariable(f"{var!r} not in alphabet {tuple(alphabet)}")
-    if bound < 0:
-        raise GuardConstraintError(f"negative bound {bound}")
     delta = {}
     for q in range(bound + 1):
         for v in alphabet:
-            if v == var:
-                delta[(q, v)] = min(q + 1, bound)
-            else:
-                delta[(q, v)] = q
-    return make_dfa(alphabet, bound + 1, 0, range(bound), delta)
+            delta[(q, v)] = min(q + 1, bound) if v == var else q
+    return GuardDfa(alphabet, bound + 1, 0, frozenset(range(bound)), delta)
 
 
-def dfa_mod(var: str, modulus: int, residue: int, alphabet: Sequence[str]) -> GuardDfa:
+def dfa_mod(var: str, modulus: int, residue: int, alphabet: tuple[str, ...]) -> GuardDfa:
     """Cyclic counter for var % modulus == residue."""
-    if var not in alphabet:
-        raise UnknownVariable(f"{var!r} not in alphabet {tuple(alphabet)}")
-    if modulus <= residue or residue < 0:
-        raise GuardConstraintError(f"need modulus > residue >= 0, got {modulus}, {residue}")
     delta = {}
     for q in range(modulus):
         for v in alphabet:
             delta[(q, v)] = (q + 1) % modulus if v == var else q
-    return make_dfa(alphabet, modulus, 0, [residue], delta)
+    return GuardDfa(alphabet, modulus, 0, frozenset([residue]), delta)
 
 
 def dfa_complement(d: GuardDfa) -> GuardDfa:
@@ -191,11 +157,9 @@ def dfa_complement(d: GuardDfa) -> GuardDfa:
 
 
 def dfa_product(d1: GuardDfa, d2: GuardDfa) -> GuardDfa:
-    """Synchronous product restricted to reachable pairs; accepts the
-    intersection. Completeness is preserved because the reachable set of a
-    complete product is transition-closed."""
-    if d1.alphabet != d2.alphabet:
-        raise InvalidAutomaton(f"alphabet mismatch {d1.alphabet} vs {d2.alphabet}")
+    """Synchronous product of two DFAs over one alphabet, restricted to
+    reachable pairs; accepts the intersection. Completeness is preserved
+    because the reachable set of a complete product is transition-closed."""
     start = (d1.initial, d2.initial)
     index = {start: 0}
     order = [start]
@@ -212,25 +176,32 @@ def dfa_product(d1: GuardDfa, d2: GuardDfa) -> GuardDfa:
                 order.append(succ)
             delta[(i, v)] = j
         i += 1
-    accepting = [
+    accepting = frozenset(
         i for i, (a, b) in enumerate(order) if a in d1.accepting and b in d2.accepting
-    ]
-    return make_dfa(d1.alphabet, len(order), 0, accepting, delta)
+    )
+    return GuardDfa(d1.alphabet, len(order), 0, accepting, delta)
 
 
 def build_guard_dfa(g: Guard, alphabet: Sequence[str]) -> GuardDfa:
-    """Compile a guard to a complete DFA over the given alphabet."""
-    missing = [v for v in guard_vars(g) if v not in alphabet]
+    """Compile a guard to a complete DFA over the given alphabet: the one guard
+    compiler behind observations, conditionals, queries and decrements."""
+    alpha = tuple(alphabet)
+    missing = [v for v in guard_vars(g) if v not in alpha]
     if missing:
-        raise UnknownVariable(f"guard mentions {sorted(missing)} outside {tuple(alphabet)}")
+        raise UnknownVariable(f"guard mentions {sorted(missing)} outside {alpha}")
+    return _compile(g, alpha)
+
+
+def _compile(g: Guard, alphabet: tuple[str, ...]) -> GuardDfa:
+    """Structural compilation of a guard whose variables are all in the alphabet."""
     if isinstance(g, LessThan):
         return dfa_less_than(g.var, g.bound, alphabet)
     if isinstance(g, ModEq):
         return dfa_mod(g.var, g.modulus, g.residue, alphabet)
     if isinstance(g, And):
-        return dfa_product(build_guard_dfa(g.left, alphabet), build_guard_dfa(g.right, alphabet))
+        return dfa_product(_compile(g.left, alphabet), _compile(g.right, alphabet))
     if isinstance(g, Not):
-        return dfa_complement(build_guard_dfa(g.inner, alphabet))
+        return dfa_complement(_compile(g.inner, alphabet))
     raise TypeError(f"not a guard: {g!r}")
 
 

@@ -17,12 +17,14 @@ token of the program (`x` when there is none):
 * `true` / `false`     -> tautology / contradiction over x0
 
 Programs are plain text, one statement chain separated by `;`, with `{}`
-blocks, `//` line comments, and UTF-8 encoding.
+blocks, `//` line comments, and UTF-8 encoding. Nesting is capped at 100
+levels. One table, `_DISTS`, declares every distribution's syntax: the
+reserved names, what the parser reads and what `dist_to_text` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -179,11 +181,22 @@ def seq_all(stmts: list[Program]) -> Program:
 _KEYWORDS = {
     "if", "else", "observe", "skip", "iid", "true", "false", "and", "or", "not",
 }
-# distribution names are reserved so a stray `geometric` used as a variable
-# fails loudly instead of silently shadowing the distribution
-_DIST_NAMES = {
-    "geometric", "bernoulli", "dirac", "uniform", "binomial", "negbinomial", "custom",
+# The one table of distribution syntax: name -> (spec class, argument kinds in
+# field order, each the _Parser method that reads it). The names are reserved,
+# so a stray `geometric` used as a variable fails instead of shadowing it.
+_DISTS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "geometric": (Geometric, ("probability",)),
+    "bernoulli": (Bernoulli, ("probability",)),
+    "dirac": (Dirac, ("natural",)),
+    "uniform": (Uniform, ("natural",)),
+    "binomial": (Binomial, ("natural", "probability")),
+    "negbinomial": (NegBinomial, ("natural", "probability")),
+    "custom": (Custom, ("string",)),
 }
+# the deepest nesting accepted: each `{…}` block, parenthesized guard, `not` and
+# further operand of one `and`/`or` chain (its tree is as deep as it is long)
+# adds a level, which keeps recursive walks far from Python's recursion limit
+_MAX_NESTING = 100
 _TWO_CHAR = {":=", "+=", "-=", "--", "<=", ">=", "==", "!="}
 _ONE_CHAR = set(";{}[](),%+*/<>")
 
@@ -272,6 +285,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.x0 = x0  # the variable `skip`, `true` and `false` are rewritten onto
+        self.depth = 0  # nesting levels open at the current token
 
     @property
     def cur(self) -> Token:
@@ -296,11 +310,23 @@ class _Parser:
             raise self.error(f"expected {want!r}, got {got!r}")
         return tok
 
+    def descend(self, tok: Token) -> None:
+        """Open one more nesting level at `tok`; callers restore the depth."""
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"nesting deeper than {_MAX_NESTING}", tok)
+        self.depth += 1
+
+    def number(self, tok: Token, kind: type = int):
+        try:
+            return kind(tok.text)
+        except ValueError:  # int() refuses numbers past sys.get_int_max_str_digits()
+            raise self.error(f"cannot read a {len(tok.text)}-character number", tok) from None
+
     def variable(self) -> str:
         tok = self.cur
         if tok.kind != "IDENT":
             raise self.error(f"expected a variable name, got {tok.text or tok.kind!r}")
-        if tok.text in _DIST_NAMES:
+        if tok.text in _DISTS:
             raise self.error(f"{tok.text!r} is a reserved distribution name")
         self.pos += 1
         return tok.text
@@ -309,22 +335,24 @@ class _Parser:
         tok = self.expect("NUMBER")
         if "." in tok.text:
             raise self.error("expected a natural number, got a decimal", tok)
-        return int(tok.text)
+        return self.number(tok)
+
+    def string(self) -> str:
+        return self.expect("STRING").text
 
     def probability(self) -> Fraction:
         tok = self.expect("NUMBER")
+        value = self.number(tok, Fraction)  # exact: "0.5" -> 1/2
         if self.accept("OP", "/"):
             if "." in tok.text:
                 raise self.error("ratio parts must be naturals", tok)
             den_tok = self.expect("NUMBER")
             if "." in den_tok.text:
                 raise self.error("ratio parts must be naturals", den_tok)
-            den = int(den_tok.text)
+            den = self.number(den_tok)
             if den == 0:
                 raise self.error("zero denominator", den_tok)
-            value = Fraction(int(tok.text), den)
-        else:
-            value = Fraction(tok.text)  # exact: "0.5" -> 1/2
+            value /= den
         if not 0 <= value <= 1:
             raise ProbabilityRangeError(f"probability {value} outside [0, 1]", tok.line, tok.col)
         return value
@@ -340,9 +368,10 @@ class _Parser:
         return seq_all(stmts)
 
     def block(self) -> Program:
-        self.expect("OP", "{")
+        self.descend(self.expect("OP", "{"))
         body = self.program()
         self.expect("OP", "}")
+        self.depth -= 1
         return body
 
     def statement(self) -> Program:
@@ -445,7 +474,7 @@ class _Parser:
             count_var = self.variable()
             self.expect("OP", ")")
             return IncrIid(var, dist, count_var)
-        if tok.kind == "IDENT" and tok.text in _DIST_NAMES:
+        if tok.kind == "IDENT" and tok.text in _DISTS:
             return IncrDist(var, self.distribution())
         if tok.kind == "IDENT":
             return IncrVar(var, self.variable())
@@ -453,31 +482,18 @@ class _Parser:
 
     def distribution(self) -> DistSpec:
         tok = self.cur
-        if tok.kind != "IDENT" or tok.text not in _DIST_NAMES:
+        if tok.kind != "IDENT" or tok.text not in _DISTS:
             raise self.error(f"expected a distribution name, got {tok.text or tok.kind!r}")
         self.pos += 1
-        name = tok.text
+        cls, kinds = _DISTS[tok.text]
         self.expect("OP", "(")
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect("OP", ",")
+            args.append(getattr(self, kind)())
         try:
-            if name == "geometric":
-                spec: DistSpec = Geometric(self.probability())
-            elif name == "bernoulli":
-                spec = Bernoulli(self.probability())
-            elif name == "dirac":
-                spec = Dirac(self.natural())
-            elif name == "uniform":
-                spec = Uniform(self.natural())
-            elif name == "binomial":
-                trials = self.natural()
-                self.expect("OP", ",")
-                spec = Binomial(trials, self.probability())
-            elif name == "negbinomial":
-                successes = self.natural()
-                self.expect("OP", ",")
-                spec = NegBinomial(successes, self.probability())
-            else:
-                path = self.expect("STRING")
-                spec = Custom(path.text)
+            spec = cls(*args)
         except InvalidParameter as exc:
             raise self.error(str(exc), tok) from exc
         self.expect("OP", ")")
@@ -486,21 +502,29 @@ class _Parser:
     # ----- guards (precedence: not > and > or)
 
     def guard(self) -> Guard:
+        depth = self.depth
         left = self.guard_conj()
-        while self.accept("KEYWORD", "or"):
+        while tok := self.accept("KEYWORD", "or"):
+            self.descend(tok)
             right = self.guard_conj()
             left = Not(And(Not(left), Not(right)))
+        self.depth = depth
         return left
 
     def guard_conj(self) -> Guard:
+        depth = self.depth
         left = self.guard_neg()
-        while self.accept("KEYWORD", "and"):
+        while tok := self.accept("KEYWORD", "and"):
+            self.descend(tok)
             left = And(left, self.guard_neg())
+        self.depth = depth
         return left
 
     def guard_neg(self) -> Guard:
-        if self.accept("KEYWORD", "not"):
+        if tok := self.accept("KEYWORD", "not"):
+            self.descend(tok)
             inner = self.guard_neg()
+            self.depth -= 1
             return inner.inner if isinstance(inner, Not) else Not(inner)
         return self.guard_primary()
 
@@ -511,8 +535,10 @@ class _Parser:
         if self.accept("KEYWORD", "false"):
             return LessThan(self.x0, 0)
         if self.accept("OP", "("):
+            self.descend(tok)
             g = self.guard()
             self.expect("OP", ")")
+            self.depth -= 1
             return g
         if tok.kind == "IDENT":
             return self.guard_atom()
@@ -557,9 +583,7 @@ def parse_program(source: str) -> Program:
     1-based line:column position on bad input."""
     tokens = tokenize(source)
     # the parser reads every other identifier as a variable, in token order
-    x0 = next(
-        (t.text for t in tokens if t.kind == "IDENT" and t.text not in _DIST_NAMES), "x"
-    )
+    x0 = next((t.text for t in tokens if t.kind == "IDENT" and t.text not in _DISTS), "x")
     parser = _Parser(tokens, x0)
     p = parser.program()
     parser.expect("EOF")
@@ -612,20 +636,11 @@ def guard_to_text(g: Guard) -> str:
 
 
 def dist_to_text(d: DistSpec) -> str:
-    if isinstance(d, Geometric):
-        return f"geometric({d.p})"
-    if isinstance(d, Bernoulli):
-        return f"bernoulli({d.p})"
-    if isinstance(d, Dirac):
-        return f"dirac({d.value})"
-    if isinstance(d, Uniform):
-        return f"uniform({d.size})"
-    if isinstance(d, Binomial):
-        return f"binomial({d.trials}, {d.p})"
-    if isinstance(d, NegBinomial):
-        return f"negbinomial({d.successes}, {d.p})"
-    if isinstance(d, Custom):
-        return f'custom("{d.path}")'
+    for name, (cls, kinds) in _DISTS.items():
+        if type(d) is cls:
+            values = [getattr(d, f.name) for f in fields(d)]
+            args = [f'"{v}"' if k == "string" else str(v) for v, k in zip(values, kinds)]
+            return f"{name}({', '.join(args)})"
     raise TypeError(f"not a distribution: {d!r}")
 
 

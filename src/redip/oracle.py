@@ -225,7 +225,8 @@ def enumerate_program(
     """Exact outcome distribution by exhausting every configuration.
 
     Program size strictly shrinks along each step, so the configuration graph
-    is a DAG and outcomes can be memoized per configuration. `start` is a
+    is a DAG and outcomes can be memoized per configuration; the graph is
+    walked with an explicit stack, so long programs do not recurse. `start` is a
     weighted list of initial valuations (a prior's support); default is the
     all-zero valuation with weight one.
     """
@@ -233,25 +234,34 @@ def enumerate_program(
     pmfs = _PmfTable(truncation)
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
 
-    def outcome(cfg: Running) -> tuple[dict[Valuation, Fraction], Fraction, Fraction]:
-        if cfg in memo:
-            return memo[cfg]
-        term: dict[Valuation, Fraction] = {}
-        viol = Fraction(0)
-        succs, resid = step(cfg, alphabet, truncation, pmfs)
-        for w, c in succs:
-            if isinstance(c, Terminated):
-                term[c.valuation] = term.get(c.valuation, Fraction(0)) + w
-            elif isinstance(c, Violation):
-                viol += w
-            else:
-                sub_term, sub_viol, sub_resid = outcome(c)
-                for sig, q in sub_term.items():
-                    term[sig] = term.get(sig, Fraction(0)) + w * q
-                viol += w * sub_viol
-                resid += w * sub_resid
-        memo[cfg] = (term, viol, resid)
-        return memo[cfg]
+    def outcome(root: Running) -> tuple[dict[Valuation, Fraction], Fraction, Fraction]:
+        # depth first without recursion: a configuration waits on the stack with
+        # its successor list, below them, until they are all memoized
+        stack: list[tuple[Running, Optional[tuple]]] = [(root, None)]
+        while stack:
+            cfg, expanded = stack.pop()
+            if expanded is None:
+                if cfg not in memo:
+                    expanded = step(cfg, alphabet, truncation, pmfs)
+                    stack.append((cfg, expanded))
+                    stack.extend((c, None) for _, c in expanded[0] if isinstance(c, Running))
+                continue
+            succs, resid = expanded
+            term: dict[Valuation, Fraction] = {}
+            viol = Fraction(0)
+            for w, c in succs:
+                if isinstance(c, Terminated):
+                    term[c.valuation] = term.get(c.valuation, Fraction(0)) + w
+                elif isinstance(c, Violation):
+                    viol += w
+                else:
+                    sub_term, sub_viol, sub_resid = memo[c]
+                    for sig, q in sub_term.items():
+                        term[sig] = term.get(sig, Fraction(0)) + w * q
+                    viol += w * sub_viol
+                    resid += w * sub_resid
+            memo[cfg] = (term, viol, resid)
+        return memo[root]
 
     if start is None:
         start = [((0,) * len(alphabet), Fraction(1))]

@@ -9,6 +9,7 @@ rationals: a + INF = INF, a * INF = INF for a > 0, and 0 * INF = 0.
 from __future__ import annotations
 
 import re
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
@@ -91,8 +92,11 @@ def parse_weight(text: str) -> Fraction:
     m = _WEIGHT_RE.match(text)
     if m is None:
         raise InvalidWeight(f"malformed weight {text!r} (expected 'n' or 'n/d')")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # int() refuses numbers past sys.get_int_max_str_digits()
+        raise InvalidWeight(f"weight of {len(text)} characters has too many digits") from None
     if den == 0:
         raise InvalidWeight(f"zero denominator in weight {text!r}")
     return Fraction(num, den)
@@ -105,60 +109,19 @@ def format_weight(value: Fraction) -> str:
     return str(value)
 
 
-def _floor_log10(num: int, den: int) -> int:
-    """floor(log10(num/den)) for positive integers, by exact comparison."""
-    e = len(str(num)) - len(str(den))
-    while not _ge_pow10(num, den, e):
-        e -= 1
-    while _ge_pow10(num, den, e + 1):
-        e += 1
-    return e
-
-
-def _ge_pow10(num: int, den: int, e: int) -> bool:
-    if e >= 0:
-        return num >= den * 10**e
-    return num * 10**-e >= den
-
-
 def decimal_str(value: Fraction, digits: int = 6) -> str:
     """Render a rational to `digits` significant decimal digits, exactly.
 
-    Rounding is half-even and done in integer arithmetic; no float is involved.
+    One correctly rounded (half-even) decimal division; no float is involved.
     Trailing zeros after the point are stripped. Very small or large magnitudes
     fall back to scientific notation.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if value == 0:
-        return "0"
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-    e = _floor_log10(num, den)
-    shift = digits - 1 - e
-    if shift >= 0:
-        top, bot = num * 10**shift, den
-    else:
-        top, bot = num, den * 10**-shift
-    q, r = divmod(top, bot)
-    if 2 * r > bot or (2 * r == bot and q % 2 == 1):
-        q += 1
-    if q == 10**digits:
-        q //= 10
-        e += 1
-    mantissa = str(q)
-    if e < -4 or e > 12:
-        frac_part = mantissa[1:].rstrip("0")
-        body = mantissa[0] + ("." + frac_part if frac_part else "")
-        return f"{sign}{body}e{'+' if e >= 0 else '-'}{abs(e)}"
-    if e >= digits - 1:
-        return sign + mantissa + "0" * (e - digits + 1)
-    if e >= 0:
-        int_part = mantissa[: e + 1]
-        frac_part = mantissa[e + 1 :].rstrip("0")
-        return sign + int_part + ("." + frac_part if frac_part else "")
-    body = "0" * (-e - 1) + mantissa
-    return f"{sign}0.{body}".rstrip("0")
+    # the widest exponent range: no rational's quotient overflows or underflows
+    with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        q = Decimal(value.numerator) / Decimal(value.denominator)
+        return format(q.normalize(), "f" if -4 <= q.adjusted() <= 12 else "e")
 
 
 def format_ext(value: ExtRational) -> str:

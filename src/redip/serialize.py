@@ -111,7 +111,7 @@ def pga_to_json(a: Pga) -> str:
 def pga_from_json(text: str) -> Pga:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past int()'s digit limit
         raise PgaParseError(f"invalid JSON: {exc}") from exc
     return pga_from_dict(data)
 

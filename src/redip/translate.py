@@ -47,7 +47,7 @@ from .errors import (
     RedipError,
     UnknownVariable,
 )
-from .guards import Guard, build_guard_dfa, equality_guard, guard_negate
+from .guards import Guard, build_guard_dfa, dfa_complement, equality_guard, guard_negate
 from .lang import (
     Choice,
     Decrement,
@@ -144,15 +144,13 @@ class _Translator:
             return self.record("union", f"choice [{p.prob}]", raw)
         if isinstance(p, IfElse):
             g = p.guard
-            then_in = self.record(
-                "product",
-                f"if-filter ({guard_to_text(g)})",
-                product(a, build_guard_dfa(g, alpha)),
-            )
+            dfa = build_guard_dfa(g, alpha)
+            then_in = self.record("product", f"if-filter ({guard_to_text(g)})", product(a, dfa))
+            # the complement is the DFA of guard_negate(g): complementing is an involution
             else_in = self.record(
                 "product",
                 f"else-filter ({guard_to_text(guard_negate(g))})",
-                product(a, build_guard_dfa(guard_negate(g), alpha)),
+                product(a, dfa_complement(dfa)),
             )
             then_out = self.apply(then_in, p.then_branch)
             else_out = self.apply(else_in, p.else_branch)

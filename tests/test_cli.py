@@ -5,6 +5,7 @@ import json
 import pytest
 
 from redip import pga_from_json, pga_to_json, make_pga, Edge, infer, parse_program
+from redip import RedipSyntaxError
 from redip.cli import main
 
 from fractions import Fraction
@@ -150,6 +151,36 @@ def test_query_bad_alphabet_file_exit_code(tmp_path, capsys, alphabet):
     assert "file error" in capsys.readouterr().err
 
 
+# a number one digit past int()'s default limit of 4,300 digits
+LONG = "1" * 5001
+
+
+@pytest.mark.parametrize("field", ["states", "weight"])
+def test_query_file_with_too_long_number_exit_code(tmp_path, capsys, field):
+    data = {"alphabet": ["x"], "states": 1, "edges": [], "initial": {"0": "1"}, "final": {}}
+    if field == "weight":
+        data["final"] = {"0": LONG}
+    text = json.dumps(data)
+    if field == "states":
+        text = text.replace('"states": 1', f'"states": {LONG}')
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["query", str(path), "--guard", "x < 1"]) == 3
+    assert "file error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [f"x += {LONG}", f"x += bernoulli(1/{LONG})", f"x += bernoulli(0.{LONG})"],
+    ids=["constant", "ratio", "decimal"],
+)
+def test_infer_too_long_number_exit_code(tmp_path, capsys, source):
+    path = tmp_path / "long.redip"
+    path.write_text(source)
+    assert main(["infer", str(path)]) == 1
+    assert "syntax error: 1:" in capsys.readouterr().err
+
+
 # ----- check
 
 
@@ -232,3 +263,63 @@ def test_reads_program_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x += 1\n"))
     assert main(["parse", "-"]) == 0
     assert "x += 1" in capsys.readouterr().out
+
+
+def test_oracle_compare_long_straight_line_program(tmp_path, capsys):
+    path = tmp_path / "long.redip"
+    path.write_text(";\n".join(["observe(x < 1)"] * 1000))
+    assert main(["oracle", str(path), "--mode", "compare"]) == 0
+    assert "ok: translation agrees with enumeration" in capsys.readouterr().out
+
+
+# ----- nesting limit
+
+
+def nested(shape, depth):
+    """A program whose parser nesting reaches `depth` in the given shape."""
+    if shape == "if":
+        body = "x += bernoulli(1/2)"
+        for i in range(depth):
+            body = f"if (x < {i % 3 + 1}) {{ {body} }} else {{ x += 1 }}"
+        return "x += bernoulli(1/2); " + body
+    if shape == "choice":
+        body = "x += 1"
+        for _ in range(depth):
+            body = f"{{ {body} }} [1/2] {{ x += 2 }}"
+        return body
+    if shape == "parentheses":
+        guard = "(" * depth + "x < 1" + ")" * depth
+    elif shape == "not":
+        guard = "not " * depth + "x < 1"
+    else:  # an `and` or `or` chain: each operand after the first opens a level
+        guard = f" {shape} ".join(f"x < {i + 1}" for i in range(depth + 1))
+    return f"x += bernoulli(1/2); observe({guard})"
+
+
+SHAPES = ["if", "choice", "parentheses", "not", "and", "or"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_limit_infers_and_checks(tmp_path, capsys, shape):
+    path = tmp_path / "deep.redip"
+    path.write_text(nested(shape, 100))
+    assert main(["infer", str(path)]) == 0
+    assert main(["oracle", str(path), "--mode", "compare"]) == 0
+    assert "ok: translation agrees with enumeration" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_past_the_limit_is_a_syntax_error(tmp_path, capsys, shape):
+    with pytest.raises(RedipSyntaxError, match="nesting deeper than 100"):
+        parse_program(nested(shape, 101))
+    path = tmp_path / "deep.redip"
+    path.write_text(nested(shape, 101))
+    assert main(["infer", str(path)]) == 1
+    assert "syntax error: 1:" in capsys.readouterr().err
+
+
+def test_six_hundred_nested_ifs_are_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "deep.redip"
+    path.write_text(nested("if", 600))
+    assert main(["parse", str(path)]) == 1
+    assert "syntax error:" in capsys.readouterr().err

@@ -324,3 +324,28 @@ def test_dist_rendering():
     assert dist_to_text(Uniform(4)) == "uniform(4)"
     assert dist_to_text(Geometric(H)) == "geometric(1/2)"
     assert dist_to_text(NegBinomial(2, H)) == "negbinomial(2, 1/2)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "geometric(1/3)",
+        "bernoulli(1/2)",
+        "dirac(3)",
+        "uniform(4)",
+        "binomial(5, 1/3)",
+        "negbinomial(2, 1/2)",
+        'custom("die.json")',
+    ],
+)
+def test_every_distribution_parses_and_renders_back(text):
+    assert dist_to_text(parse_program(f"x += {text}").dist) == text
+    assert dist_to_text(parse_program(f"x += iid({text}, y)").dist) == text
+
+
+def test_bad_distribution_parameter_reports_at_the_name():
+    # the range check runs before the closing parenthesis is expected
+    for source in ("x += geometric(0)", "x += uniform(0", "x += negbinomial(2, 0"):
+        with pytest.raises(RedipSyntaxError) as info:
+            parse_program(source)
+        assert (info.value.line, info.value.column) == (1, 6)

@@ -115,3 +115,13 @@ def test_infinity_rejects_negatives():
         INF + (-1)
     with pytest.raises(InvalidWeight):
         (-2) * INF
+
+
+def test_decimal_str_past_the_int_digit_limit():
+    # the denominator has 4,772 digits, more than int-to-str conversion allows
+    assert decimal_str(Fraction(1, 3**10000)) == "6.12989e-4772"
+
+
+def test_parse_weight_rejects_too_many_digits():
+    with pytest.raises(InvalidWeight, match="too many digits"):
+        parse_weight("1" * 5001)
