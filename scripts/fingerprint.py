@@ -5,7 +5,9 @@ give bit-identical answers.
 Each line holds the program's index and name, a SHA-256 prefix of the
 posterior automaton's JSON (or the error class and message), the normalizing
 constant z, and SHA-256 prefixes of the step records, of `program_to_text`
-and of the answers to the program's queries. The corpus is the benchmark's
+and of the answers: the program's own queries, then for every posterior
+variable v the guard masses of `v >= 1` and `v % 2 == 0`, then the
+coefficient at the all-zero valuation. The corpus is the benchmark's
 small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
 m=18, and a few programs heavy in syntactic sugar. The output does not
 depend on PYTHONHASHSEED. Run it once per tree and compare:
@@ -30,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's corpus, imported read-only)
 from redip import (  # noqa: E402
     RedipError,
+    coefficient,
     guard_mass,
     infer,
     marginal,
@@ -87,6 +90,10 @@ def fingerprint(case: workloads.Case) -> str:
             else marginal(posterior, q.var, q.upto)
             for q in case.queries
         ]
+        for v in posterior.alphabet:
+            for guard in (f"{v} >= 1", f"{v} % 2 == 0"):
+                answers.append(guard_mass(posterior, parse_guard(guard, posterior.alphabet)))
+        answers.append(coefficient(posterior, dict.fromkeys(posterior.alphabet, 0)))
     except RedipError as exc:
         return f"text={text} error={type(exc).__name__}: {exc}"
     return (

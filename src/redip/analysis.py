@@ -5,6 +5,11 @@ labels leaves a monotone linear system B = M B + F whose least nonnegative
 solution gives, per state, the total weight of runs from that state to
 acceptance; the mass is the initial-weight combination of that vector.
 
+Given a guard DFA, `mass` counts only the runs the guard accepts: it walks
+the pairs (state, DFA state) reached from the start and keeps those that
+reach an accepting pair, which is the trimmed product with the guard's
+counting automaton, without ever building the product.
+
 `mass` always solves the trimmed system, on which exact Gaussian elimination
 on (I - M) B = F is conclusive: any nonnegative solution bounds every partial
 sum of the series, so a nonsingular system with a nonnegative solution gives
@@ -16,41 +21,99 @@ is kept only to cross-check elimination.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional, Union
 
 from . import linsolve
-from .errors import InfiniteMass, UnknownVariable, ZeroMass
+from .errors import InfiniteMass, InvalidAutomaton, UnknownVariable, ZeroMass
+from .guards import GuardDfa
 from .linsolve import FactoredSystem, SingularSystem
-from .pga import Pga, make_pga, reach_and_coreach, trim
+from .pga import Pga, closure, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 ZERO = Fraction(0)
 
 
-def _stripped_system(a: Pga) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
-    """Rows of M (labels dropped, parallel edges summed) and the vector F."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(a.num_states)]
-    for e in a.edges:
-        rows[e.src][e.dst] = rows[e.src].get(e.dst, ZERO) + e.weight
-    f = [a.final.get(q, ZERO) for q in range(a.num_states)]
-    return rows, f
+def _useful_system(
+    a: Pga, dfa: Optional[GuardDfa]
+) -> tuple[list[dict[int, Fraction]], list[Fraction], dict[int, Fraction]]:
+    """Rows of M (labels dropped, parallel edges summed), the vector F and the
+    initial weights, over the useful pairs (q, s) of automaton and DFA states.
+
+    Pair (q, s) is the integer q * k + s, with k = 1 and s = 0 when there is
+    no filter. A labeled edge advances s through the DFA, an unlabeled edge
+    keeps it; initial weight sits on (q, dfa.initial), final weight on
+    (q, accepting s). Useful pairs are reached from an initial pair and reach
+    a final one; they are numbered in increasing pair order, the state order
+    of `trim(product(a, dfa))`. With a filter, only the pairs reached are
+    ever built.
+    """
+    arcs: Union[list[dict[int, Fraction]], dict[int, dict[int, Fraction]]]
+    if dfa is None:  # pairs are states: build every row up front
+        k, start, accepting = 1, 0, {0}
+        arcs = [{} for _ in range(a.num_states)]
+        for e in a.edges:
+            row, t = arcs[e.src], e.dst
+            row[t] = row[t] + e.weight if t in row else e.weight
+        successors = arcs.__getitem__
+    else:  # build the row of a pair when the walk first reaches it
+        if dfa.alphabet != a.alphabet:
+            raise InvalidAutomaton(f"alphabet mismatch {a.alphabet} vs {dfa.alphabet}")
+        k, start, accepting = dfa.num_states, dfa.initial, dfa.accepting
+        steps = {var: [dfa.delta[(s, var)] for s in range(k)] for var in a.alphabet}
+        steps[None] = list(range(k))
+        out: list[list[tuple[int, Fraction, list[int]]]] = [[] for _ in range(a.num_states)]
+        for e in a.edges:
+            out[e.src].append((e.dst * k, e.weight, steps[e.symbol]))
+        arcs = {}
+
+        def successors(p: int) -> dict[int, Fraction]:
+            row = arcs[p] = {}
+            q, s = divmod(p, k)
+            for base, w, step in out[q]:
+                t = base + step[s]
+                row[t] = row[t] + w if t in row else w
+            return row
+
+    reach = closure([q * k + start for q in a.initial], successors)
+    pred: defaultdict[int, list[int]] = defaultdict(list)
+    for p in reach:
+        for t in arcs[p]:
+            pred[t].append(p)
+    finals = [pair for q in a.final for s in accepting if (pair := q * k + s) in reach]
+    useful = sorted(closure(finals, pred.__getitem__))
+    index: Union[range, dict[int, int]] = range(len(reach))
+    if useful == list(index):  # every pair reached is useful and already numbered
+        rows = [arcs[p] for p in useful]
+    else:
+        index = {p: i for i, p in enumerate(useful)}
+        rows = [{index[t]: w for t, w in arcs[p].items() if t in index} for p in useful]
+    f = [a.final.get(p // k, ZERO) if p % k in accepting else ZERO for p in useful]
+    initial = {index[pair]: w for q, w in a.initial.items() if (pair := q * k + start) in index}
+    return rows, f, initial
 
 
-def mass(a: Pga, method: str = "elimination") -> ExtRational:
+def mass(
+    a: Pga, dfa: Optional[GuardDfa] = None, method: str = "elimination"
+) -> ExtRational:
     """Total weight of all accepting runs, or INF when it diverges.
+
+    With a guard DFA (over the automaton's alphabet), only the runs whose
+    final valuation the guard accepts count: the mass of the product with the
+    guard's counting automaton, solved over its useful pairs without building
+    the product. Either way the system solved is the trimmed one.
 
     method: "elimination" (the production route) or "lp" (the exact simplex,
     a cross-check of elimination).
     """
     if method not in ("elimination", "lp"):
         raise ValueError(f"unknown method {method!r}")
-    t = trim(a)
-    if not t.final:
+    rows, f, initial = _useful_system(a, dfa)
+    n = len(rows)
+    if not n:
         return ZERO
-    rows, f = _stripped_system(t)
-    n = t.num_states
     if method == "lp":
         a_rows = []
         for i in range(n):
@@ -59,11 +122,11 @@ def mass(a: Pga, method: str = "elimination") -> ExtRational:
                 row[j] -= v
             row[i] += 1
             a_rows.append(row)
-        costs = [t.initial.get(q, ZERO) for q in range(n)]
+        costs = [initial.get(q, ZERO) for q in range(n)]
         value = linsolve.simplex_min(costs, a_rows, f)
     else:
         sol = linsolve.least_solution_elimination(n, rows, f)
-        value = None if sol is None else sum((w * sol[q] for q, w in t.initial.items()), ZERO)
+        value = None if sol is None else sum((w * sol[q] for q, w in initial.items()), ZERO)
     return INF if value is None else value
 
 

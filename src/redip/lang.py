@@ -199,6 +199,8 @@ _DISTS: dict[str, tuple[type, tuple[str, ...]]] = {
 _MAX_NESTING = 100
 _TWO_CHAR = {":=", "+=", "-=", "--", "<=", ">=", "==", "!="}
 _ONE_CHAR = set(";{}[](),%+*/<>")
+# numbers are ASCII only: `str.isdigit` also takes superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -236,13 +238,13 @@ def tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             toks.append(Token("NUMBER", source[i:j], start_line, start_col))
             col += j - i
@@ -612,7 +614,7 @@ def parse_valuation(text: str) -> dict[str, int]:
         name, sep, value = part.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not name or not value.isdigit():
+        if not sep or not name or not value or not _DIGITS.issuperset(value):
             raise ValueError(f"malformed valuation entry {part!r} (want var=nat)")
         out[name] = int(value)
     if not out:

@@ -46,7 +46,7 @@ from .lang import (
     SetZero,
     program_vars,
 )
-from .pga import Pga, enumerate_paths, is_acyclic, trim
+from .pga import Edge, Pga, Symbol, is_acyclic, trim
 from .rational import is_finite
 from .serialize import load_pga
 
@@ -411,6 +411,48 @@ class ComparisonResult:
     residual: Fraction
     worst_discrepancy: Fraction
     mismatches: list[str]
+
+
+@dataclass(frozen=True)
+class WeightedPath:
+    """An accepting run: initial weight * edge weights * final weight."""
+
+    states: tuple[int, ...]
+    symbols: tuple[Symbol, ...]
+    weight: Fraction
+    counts: tuple[int, ...]  # aligned with the automaton's alphabet
+
+
+def enumerate_paths(a: Pga, max_len: int) -> list[WeightedPath]:
+    """All accepting paths with at most `max_len` transitions.
+
+    Exponential in general; meant for desk-scale checking and for exact
+    support extraction from acyclic automata (where max_len = num_states - 1
+    covers everything).
+    """
+    idx = {v: i for i, v in enumerate(a.alphabet)}
+    out: list[WeightedPath] = []
+    by_src: dict[int, list[Edge]] = {}
+    for e in a.edges:
+        by_src.setdefault(e.src, []).append(e)
+
+    def walk(state: int, weight: Fraction, states: tuple, symbols: tuple, counts: tuple) -> None:
+        fw = a.final.get(state)
+        if fw:
+            out.append(WeightedPath(states, symbols, weight * fw, counts))
+        if len(symbols) >= max_len:
+            return
+        for e in by_src.get(state, ()):
+            nc = counts
+            if e.symbol is not None:
+                i = idx[e.symbol]
+                nc = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+            walk(e.dst, weight * e.weight, states + (e.dst,), symbols + (e.symbol,), nc)
+
+    zero = (0,) * len(a.alphabet)
+    for q in sorted(a.initial):
+        walk(q, a.initial[q], (q,), (), zero)
+    return out
 
 
 def prior_support(prior: Pga) -> list[tuple[Valuation, Fraction]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidAutomaton, InvalidWeight
 from .linsolve import strongly_connected_components
@@ -164,27 +164,28 @@ def extend_alphabet(a: Pga, alphabet: Sequence[str]) -> Pga:
     return make_pga(alphabet, a.num_states, a.edges, a.initial, a.final)
 
 
+def closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
+    """The nodes reachable from `seed` (seeds included) along `succ`: the one
+    graph closure behind trimming, validation and the mass solve."""
+    seen = set(seed)
+    stack = list(seen)
+    while stack:
+        for t in succ(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def reach_and_coreach(a: Pga) -> tuple[set[int], set[int]]:
     """States reachable from a positive-initial state, and states from which
     a positive-final state is reachable."""
-    fwd: dict[int, list[int]] = {}
-    bwd: dict[int, list[int]] = {}
+    fwd: list[list[int]] = [[] for _ in range(a.num_states)]
+    bwd: list[list[int]] = [[] for _ in range(a.num_states)]
     for e in a.edges:
-        fwd.setdefault(e.src, []).append(e.dst)
-        bwd.setdefault(e.dst, []).append(e.src)
-
-    def closure(seed: Iterable[int], adj: dict[int, list[int]]) -> set[int]:
-        seen = set(seed)
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for t in adj.get(q, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    return closure(a.initial, fwd), closure(a.final, bwd)
+        fwd[e.src].append(e.dst)
+        bwd[e.dst].append(e.src)
+    return closure(a.initial, fwd.__getitem__), closure(a.final, bwd.__getitem__)
 
 
 def trim(a: Pga) -> Pga:
@@ -208,48 +209,6 @@ def trim(a: Pga) -> Pga:
     initial = {index[q]: w for q, w in a.initial.items() if q in index}
     final = {index[q]: w for q, w in a.final.items() if q in index}
     return make_pga(a.alphabet, len(useful), edges, initial, final)
-
-
-@dataclass(frozen=True)
-class WeightedPath:
-    """An accepting run: initial weight * edge weights * final weight."""
-
-    states: tuple[int, ...]
-    symbols: tuple[Symbol, ...]
-    weight: Fraction
-    counts: tuple[int, ...]  # aligned with the automaton's alphabet
-
-
-def enumerate_paths(a: Pga, max_len: int) -> list[WeightedPath]:
-    """All accepting paths with at most `max_len` transitions.
-
-    Exponential in general; meant for desk-scale checking and for exact
-    support extraction from acyclic automata (where max_len = num_states - 1
-    covers everything).
-    """
-    idx = {v: i for i, v in enumerate(a.alphabet)}
-    out: list[WeightedPath] = []
-    by_src: dict[int, list[Edge]] = {}
-    for e in a.edges:
-        by_src.setdefault(e.src, []).append(e)
-
-    def walk(state: int, weight: Fraction, states: tuple, symbols: tuple, counts: tuple) -> None:
-        fw = a.final.get(state)
-        if fw:
-            out.append(WeightedPath(states, symbols, weight * fw, counts))
-        if len(symbols) >= max_len:
-            return
-        for e in by_src.get(state, ()):
-            nc = counts
-            if e.symbol is not None:
-                i = idx[e.symbol]
-                nc = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-            walk(e.dst, weight * e.weight, states + (e.dst,), symbols + (e.symbol,), nc)
-
-    zero = (0,) * len(a.alphabet)
-    for q in sorted(a.initial):
-        walk(q, a.initial[q], (q,), (), zero)
-    return out
 
 
 def is_acyclic(a: Pga) -> bool:

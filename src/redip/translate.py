@@ -17,11 +17,15 @@ accumulated so far (starting from the prior):
 * `if (g) ...`        union of the guard-filtered branch translations
 
 The automaton is trimmed after every construction; the raw size before
-trimming is recorded so growth bounds can be checked against theory.
+trimming is recorded so growth bounds can be checked against theory. The
+product is the construction for `observe`, `if` and (inside it) `x--`; no
+query builds it.
 
-The queries on a translated automaton are masses too: `guard_mass` filters
-by a guard and takes the mass, `coefficient` is the guard mass of an
-equality guard, and `marginal` reads a coefficient table.
+The queries on a translated automaton are masses too: `guard_mass` takes the
+mass under the guard's DFA as a filter, which solves over the useful pairs
+of automaton and DFA states without building the product; `coefficient` is
+the guard mass of an equality guard, and `marginal` reads a coefficient
+table.
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
 
 def guard_mass(a: Pga, g: Guard) -> Fraction:
     """Mass of the runs of `a` whose final valuation satisfies the guard."""
-    value = mass(product(a, build_guard_dfa(g, a.alphabet)))
+    value = mass(a, build_guard_dfa(g, a.alphabet))
     if not is_finite(value):
         raise InfiniteMass("guard query diverges; automaton has unbounded mass")
     return value

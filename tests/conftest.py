@@ -34,10 +34,10 @@ from redip import (
     Seq,
     SetZero,
     Uniform,
-    enumerate_paths,
     make_pga,
     trim,
 )
+from redip.oracle import enumerate_paths
 
 WEIGHTS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]
 PROBS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(9, 10)]

@@ -1,6 +1,7 @@
 """Mass, normalization, validation, and coefficient extraction."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,24 @@ from redip import (
     Edge,
     InfiniteMass,
     InvalidAutomaton,
+    LessThan,
     UnknownVariable,
     ZeroMass,
+    build_guard_dfa,
     coefficient,
     coefficient_table,
+    guard_mass,
     make_pga,
     mass,
     normalize,
+    parse_guard,
+    product,
     trim,
     validate_pga,
 )
+from redip.analysis import _useful_system
 
-from conftest import rand_pga, series_of
+from conftest import rand_guard, rand_pga, series_of
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -91,6 +98,67 @@ def test_mass_acyclic_equals_path_sum():
     for _ in range(40):
         a = rand_pga(rng, acyclic=True)
         assert mass(a) == sum(series_of(a).values(), Fraction(0))
+
+
+# ----- mass under a guard filter
+
+
+def guarded_cases(count, seed=2024):
+    """Random automata paired with random guard DFAs over ("x", "y")."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rand_pga(rng)
+        yield a, build_guard_dfa(rand_guard(rng, a.alphabet), a.alphabet)
+
+
+def test_filtered_mass_equals_mass_of_the_product():
+    """Walking the useful pairs gives what solving the whole product gives,
+    divergence included."""
+    diverging = 0
+    for a, dfa in guarded_cases(2000):
+        want = mass(product(a, dfa))
+        assert mass(a, dfa) == want
+        diverging += want is INF
+    assert 100 < diverging < 1900
+
+
+def test_filtered_mass_routes_agree():
+    for i, (a, dfa) in enumerate(guarded_cases(2000)):
+        if i % 10 == 0:
+            assert mass(a, dfa, method="lp") == mass(a, dfa)
+
+
+def test_filtered_system_is_the_trimmed_product_system():
+    """Same rows, final and initial weights, in the state order of
+    trim(product(a, dfa)), so the factorization sees the same matrix."""
+    for a, dfa in guarded_cases(300, seed=7):
+        rows, f, initial = _useful_system(a, dfa)
+        t = trim(product(a, dfa))
+        if not t.final:
+            assert rows == []
+            continue
+        want_rows = [dict() for _ in range(t.num_states)]
+        for e in t.edges:
+            want_rows[e.src][e.dst] = want_rows[e.src].get(e.dst, 0) + e.weight
+        assert rows == want_rows
+        assert f == [t.final.get(q, 0) for q in range(t.num_states)]
+        assert initial == t.initial
+
+
+def test_filter_needs_the_automaton_alphabet():
+    with pytest.raises(InvalidAutomaton):
+        mass(loop(H), build_guard_dfa(LessThan("y", 1), ("y",)))
+
+
+def test_guard_queries_never_build_the_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("guard query built the product automaton")
+
+    # the package re-exports the function `translate`, which hides the module
+    monkeypatch.setattr(sys.modules["redip.translate"], "product", refuse)
+    a = loop(H)
+    assert guard_mass(a, parse_guard("x >= 2", a.alphabet)) == Fraction(1, 4)
+    assert coefficient(a, {"x": 2}) == Fraction(1, 8)
 
 
 # ----- validation report

@@ -181,6 +181,14 @@ def test_infer_too_long_number_exit_code(tmp_path, capsys, source):
     assert "syntax error: 1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_infer_non_ascii_digit_exit_code(tmp_path, capsys, digit):
+    path = tmp_path / "digit.redip"
+    path.write_text(f"x += {digit}", encoding="utf-8")
+    assert main(["infer", str(path)]) == 1
+    assert "syntax error: 1:6: unexpected character" in capsys.readouterr().err
+
+
 # ----- check
 
 

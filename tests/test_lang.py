@@ -71,6 +71,13 @@ def test_unknown_character_is_a_syntax_error():
         tokenize("x += $")
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_only_ascii_digits_make_numbers(digit):
+    with pytest.raises(RedipSyntaxError, match="unexpected character") as info:
+        tokenize(f"x += {digit}")
+    assert (info.value.line, info.value.column) == (1, 6)
+
+
 # ----- statements
 
 
@@ -240,6 +247,8 @@ def test_parse_valuation():
     assert parse_valuation("x = 5") == {"x": 5}
     with pytest.raises(ValueError):
         parse_valuation("x=")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_valuation("x=\u0663")  # an Arabic-Indic three
 
 
 # ----- rendering round trip

@@ -1,4 +1,4 @@
-"""Automaton core: construction, canonical form, trimming, path enumeration."""
+"""Automaton core: construction, canonical form, trimming, acyclicity."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from redip import (
     Edge,
     InvalidAutomaton,
     InvalidWeight,
-    enumerate_paths,
     make_pga,
     trim,
     unit_pga,
@@ -224,7 +223,7 @@ def test_trim_returns_a_trimmed_automaton_itself():
     assert trim(t) is t
 
 
-# ----- path enumeration
+# ----- acyclicity
 
 
 def geometric_loop():
@@ -236,58 +235,6 @@ def geometric_loop():
         {0: Fraction(1)},
         {0: H},
     )
-
-
-def test_enumerate_paths_geometric_prefixes():
-    paths = enumerate_paths(geometric_loop(), max_len=3)
-    assert len(paths) == 4
-    by_len = {len(p.symbols): p for p in paths}
-    for k in range(4):
-        p = by_len[k]
-        assert p.weight == H ** (k + 1)
-        assert p.counts == (k,)
-        assert p.states == tuple([0] * (k + 1))
-
-
-def test_enumerate_paths_weight_includes_endpoints():
-    a = make_pga(
-        ("x",),
-        2,
-        [Edge(0, 1, Fraction(1, 3), "x")],
-        {0: Fraction(1, 5)},
-        {1: Fraction(1, 7)},
-    )
-    (p,) = enumerate_paths(a, max_len=5)
-    assert p.weight == Fraction(1, 105)
-    assert p.symbols == ("x",)
-
-
-def test_enumerate_paths_counts_align_to_alphabet():
-    a = make_pga(
-        ("x", "y"),
-        3,
-        [Edge(0, 1, Fraction(1), "y"), Edge(1, 2, Fraction(1), "y")],
-        {0: Fraction(1)},
-        {2: Fraction(1)},
-    )
-    (p,) = enumerate_paths(a, max_len=2)
-    assert p.counts == (0, 2)
-
-
-def test_enumerate_paths_complete_for_acyclic():
-    """On an acyclic automaton, max_len = num_states - 1 sees every path."""
-    import random
-
-    rng = random.Random(7)
-    for _ in range(30):
-        a = rand_pga(rng, acyclic=True)
-        t = trim(a)
-        long = enumerate_paths(t, max_len=t.num_states + 3)
-        short = enumerate_paths(t, max_len=max(t.num_states - 1, 0))
-        assert sorted(p.weight for p in long) == sorted(p.weight for p in short)
-
-
-# ----- acyclicity
 
 
 def test_is_acyclic():
