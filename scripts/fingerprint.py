@@ -4,10 +4,12 @@ give bit-identical answers.
 
 Each line holds the program's index and name, a SHA-256 prefix of the
 posterior automaton's JSON (or the error class and message), the normalizing
-constant z, and SHA-256 prefixes of the step records, of `program_to_text`
-and of the answers: the program's own queries, then for every posterior
+constant z, and SHA-256 prefixes of the step records, of `program_to_text`,
+of the answers (the program's own queries, then for every posterior
 variable v the guard masses of `v >= 1` and `v % 2 == 0`, then the
-coefficient at the all-zero valuation. The corpus is the benchmark's
+coefficient at the all-zero valuation), and a SHA-256 prefix of the
+coefficient table with every posterior variable's count up to 3, the one
+answer that takes the multi-variable level path. The corpus is the benchmark's
 small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
 m=18, and a few programs heavy in syntactic sugar. The output does not
 depend on PYTHONHASHSEED. Run it once per tree and compare:
@@ -33,6 +35,7 @@ import workloads  # noqa: E402  (the benchmark's corpus, imported read-only)
 from redip import (  # noqa: E402
     RedipError,
     coefficient,
+    coefficient_table,
     guard_mass,
     infer,
     marginal,
@@ -94,11 +97,13 @@ def fingerprint(case: workloads.Case) -> str:
             for guard in (f"{v} >= 1", f"{v} % 2 == 0"):
                 answers.append(guard_mass(posterior, parse_guard(guard, posterior.alphabet)))
         answers.append(coefficient(posterior, dict.fromkeys(posterior.alphabet, 0)))
+        table = coefficient_table(posterior, dict.fromkeys(posterior.alphabet, 3))
     except RedipError as exc:
         return f"text={text} error={type(exc).__name__}: {exc}"
     return (
         f"posterior={digest(pga_to_json(posterior))} z={result.normalizing_constant} "
-        f"steps={digest(repr(result.steps))} text={text} answers={digest(repr(answers))}"
+        f"steps={digest(repr(result.steps))} text={text} answers={digest(repr(answers))} "
+        f"table={digest(repr(table))}"
     )
 
 

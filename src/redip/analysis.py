@@ -29,11 +29,9 @@ from typing import Mapping, Optional, Union
 from . import linsolve
 from .errors import InfiniteMass, InvalidAutomaton, UnknownVariable, ZeroMass
 from .guards import GuardDfa
-from .linsolve import FactoredSystem, SingularSystem
+from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem
 from .pga import Pga, closure, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
-
-ZERO = Fraction(0)
 
 
 def _useful_system(
@@ -115,13 +113,9 @@ def mass(
     if not n:
         return ZERO
     if method == "lp":
-        a_rows = []
-        for i in range(n):
-            row = [ZERO] * n
-            for j, v in rows[i].items():
-                row[j] -= v
-            row[i] += 1
-            a_rows.append(row)
+        a_rows = [
+            [(ONE if i == j else ZERO) - rows[i].get(j, ZERO) for j in range(n)] for i in range(n)
+        ]
         costs = [initial.get(q, ZERO) for q in range(n)]
         value = linsolve.simplex_min(costs, a_rows, f)
     else:
@@ -176,7 +170,9 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     variable's count varies fastest); variables missing from `bounds` get
     bound 0. Works level by level: within a level only unlabeled edges act,
     so each level is one solve against a factorization of (I - M_eps), valid
-    whenever the total mass is finite.
+    whenever the total mass is finite. A level's right-hand side comes from
+    the labeled arcs into the previous level's nonzero entries, and its
+    sparse solve pays only for the entries that these can reach.
     """
     for var in bounds:
         if var not in a.alphabet:
@@ -188,18 +184,16 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     if not is_finite(table.total):
         raise InfiniteMass("coefficient table of a diverging automaton")
     n = t.num_states
-    eps_rows: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    sym_rows: dict[str, list[dict[int, Fraction]]] = {
-        var: [dict() for _ in range(n)] for var in t.alphabet
+    a_rows: list[dict[int, Fraction]] = [{q: ONE} for q in range(n)]  # I - M_eps
+    # labeled arcs by target, so a level reads only the previous level's nonzeros
+    arcs_into: dict[str, list[list[tuple[int, Fraction]]]] = {
+        var: [[] for _ in range(n)] for var in t.alphabet
     }
     for e in t.edges:
-        rows = eps_rows if e.symbol is None else sym_rows[e.symbol]
-        rows[e.src][e.dst] = rows[e.src].get(e.dst, ZERO) + e.weight
-    a_rows = []
-    for i in range(n):
-        row = {j: -v for j, v in eps_rows[i].items()}
-        row[i] = row.get(i, ZERO) + 1
-        a_rows.append(row)
+        if e.symbol is None:
+            a_rows[e.src][e.dst] = a_rows[e.src].get(e.dst, ZERO) - e.weight
+        else:
+            arcs_into[e.symbol][e.dst].append((e.src, e.weight))
     try:
         system = FactoredSystem(n, a_rows)
     except SingularSystem as exc:  # impossible for finite mass, checked above
@@ -213,15 +207,11 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
             if key[i] == 0:
                 continue
             prev_key = key[:i] + (key[i] - 1,) + key[i + 1 :]
-            prev = vectors[prev_key]
-            rows = sym_rows[var]
-            for q in range(n):
-                acc = rhs[q]
-                for j, w in rows[q].items():
-                    pv = prev[j]
-                    if pv != 0:
-                        acc += w * pv
-                rhs[q] = acc
+            into = arcs_into[var]
+            for j, pv in enumerate(vectors[prev_key]):
+                if pv is not ZERO and pv:
+                    for q, w in into[j]:
+                        rhs[q] += w * pv
             pending_uses[prev_key] -= 1
             if pending_uses[prev_key] == 0:
                 del vectors[prev_key], pending_uses[prev_key]

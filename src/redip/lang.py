@@ -24,6 +24,7 @@ reserved names, what the parser reads and what `dist_to_text` prints.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -86,6 +87,23 @@ class Observe:
     guard: Guard
 
 
+def _hash_once(cls):
+    """Cache a compound node's hash on first use: the generated hash walks the
+    whole subtree, and the oracle hashes a configuration at every step. Pickles
+    leave the cache out, since string hashes differ between processes."""
+    walk = cls.__hash__
+
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", walk(self))
+        return self._hash
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = lambda self: {k: v for k, v in vars(self).items() if k != "_hash"}
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Choice:
     left: "Program"
@@ -93,6 +111,7 @@ class Choice:
     right: "Program"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IfElse:
     guard: Guard
@@ -100,6 +119,7 @@ class IfElse:
     else_branch: "Program"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Seq:
     first: "Program"
@@ -199,8 +219,11 @@ _DISTS: dict[str, tuple[type, tuple[str, ...]]] = {
 _MAX_NESTING = 100
 _TWO_CHAR = {":=", "+=", "-=", "--", "<=", ">=", "==", "!="}
 _ONE_CHAR = set(";{}[](),%+*/<>")
-# numbers are ASCII only: `str.isdigit` also takes superscripts and other scripts' digits
+# names and numbers are ASCII only: `str.isalnum` and `str.isdigit` also take
+# superscripts and other scripts' letters and digits
 _DIGITS = frozenset("0123456789")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -250,9 +273,9 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _NAME_CHARS:
                 j += 1
             word = source[i:j]
             kind = "KEYWORD" if word in _KEYWORDS else "IDENT"

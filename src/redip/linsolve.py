@@ -9,8 +9,11 @@ a negative component means the least solution diverges.
 
 :class:`FactoredSystem` pivots one strongly connected component of the row
 graph at a time, sources first (:func:`strongly_connected_components`). The
-acyclic part of a system then costs one pass over its entries to factor and
-one back-substitution pass to solve; only states on a cycle are eliminated.
+acyclic part of a system then costs one pass over its entries to factor;
+only states on a cycle are eliminated. A solve pays only for the solution
+entries that can be nonzero: it back-substitutes just the pivots that the
+right-hand side's nonzero entries reach (Gilbert & Peierls), and divides only
+by pivots other than one.
 
 :func:`simplex_min` is an exact two-phase simplex for
 `min I.B  s.t.  (I - M) B = F, B >= 0` (Bland's rule, so it terminates),
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,6 +35,20 @@ ONE = Fraction(1)
 
 class SingularSystem(Exception):
     """The coefficient matrix has no unique solution."""
+
+
+def closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
+    """The nodes reachable from `seed` (seeds included) along `succ`: the one
+    graph closure behind trimming, validation, the mass solve and the sparse
+    back-substitution."""
+    seen = set(seed)
+    stack = list(seen)
+    while stack:
+        for t in succ(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def strongly_connected_components(n: int, succ: Sequence[Iterable[int]]) -> list[list[int]]:
@@ -89,7 +106,7 @@ class FactoredSystem:
     Factoring costs one pass over the entries plus that elimination. The
     matrix is singular iff some component is. The factorization can be
     replayed against many right-hand sides via :meth:`solve`, whose
-    back-substitution is linear in the stored entries.
+    back-substitution touches only the entries of the pivots it can reach.
     """
 
     def __init__(self, n: int, rows: list[dict[int, Fraction]]):
@@ -109,6 +126,18 @@ class FactoredSystem:
                 self.pivots.append((i, i, work[i]))
             else:
                 raise SingularSystem(f"no diagonal entry in acyclic row {i}")
+        # pivot k's column feeds every pivot whose row holds it; back-substitution
+        # runs from the last pivot to the first, so each must come before k
+        rank = {col: k for k, (_, col, _) in enumerate(self.pivots)}
+        self._rank_of_row = [0] * n
+        self._feeds: list[list[int]] = [[] for _ in self.pivots]
+        for k, (pivot_row, pivot_col, row) in enumerate(self.pivots):
+            self._rank_of_row[pivot_row] = k
+            for c in row:
+                if c != pivot_col:
+                    if rank.get(c, -1) <= k:
+                        raise SingularSystem("back-substitution would hit an unsolved column")
+                    self._feeds[rank[c]].append(k)
 
     def _eliminate(self, component: list[int], work: list[dict[int, Fraction]]) -> None:
         """Pivot only on the component's own columns; fill-in can reach
@@ -149,23 +178,28 @@ class FactoredSystem:
             self.pivots.append((pivot_row, pivot_col, row))
 
     def solve(self, rhs: list[Fraction]) -> list[Fraction]:
-        """Solve A x = rhs for the factored A."""
+        """Solve A x = rhs for the factored A. After the recorded eliminations,
+        only the pivots that the nonzero entries of rhs reach through `_feeds`
+        can solve to nonzero, so back-substitution visits just those."""
         b = list(rhs)
         for target, pivot, factor in self.ops:
             if b[pivot] != 0:
                 b[target] = b[target] - factor * b[pivot]
-        x: list[Optional[Fraction]] = [None] * self.n
-        for pivot_row, pivot_col, row in reversed(self.pivots):
+        seeds = [self._rank_of_row[i] for i, v in enumerate(b) if v is not ZERO and v]
+        # an entry is ZERO itself until solved nonzero, so unsolved columns (the
+        # pivot's own among them) drop out of the sum
+        x = [ZERO] * self.n
+        for k in sorted(closure(seeds, self._feeds.__getitem__), reverse=True):
+            pivot_row, pivot_col, row = self.pivots[k]
             acc = b[pivot_row]
             for c, v in row.items():
-                if c != pivot_col:
-                    xc = x[c]
-                    if xc is None:
-                        raise SingularSystem("back-substitution hit unsolved column")
-                    if xc != 0:
-                        acc -= v * xc
-            x[pivot_col] = acc / row[pivot_col]
-        return x  # type: ignore[return-value]
+                xc = x[c]
+                if xc is not ZERO:
+                    acc -= v * xc
+            if acc:
+                d = row[pivot_col]
+                x[pivot_col] = acc if d == 1 else acc / d
+        return x
 
 
 def least_solution_elimination(
@@ -177,13 +211,9 @@ def least_solution_elimination(
     solution is componentwise nonnegative; otherwise None (inconclusive for a
     general system; divergence on a trimmed one).
     """
-    a_rows: list[dict[int, Fraction]] = []
-    for i in range(n):
-        row = {c: -v for c, v in m_rows[i].items() if v != 0}
+    a_rows = [{c: -v for c, v in row.items()} for row in m_rows]
+    for i, row in enumerate(a_rows):  # the factorization drops zero entries
         row[i] = row.get(i, ZERO) + ONE
-        if row[i] == 0:
-            del row[i]
-        a_rows.append(row)
     try:
         fs = FactoredSystem(n, a_rows)
         sol = fs.solve(list(f))

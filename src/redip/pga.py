@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidAutomaton, InvalidWeight
-from .linsolve import strongly_connected_components
+from .linsolve import closure, strongly_connected_components
 
 Symbol = Optional[str]  # None marks an unlabeled (epsilon) edge
 
@@ -162,19 +162,6 @@ def extend_alphabet(a: Pga, alphabet: Sequence[str]) -> Pga:
     if missing:
         raise InvalidAutomaton(f"target alphabet drops variables {missing}")
     return make_pga(alphabet, a.num_states, a.edges, a.initial, a.final)
-
-
-def closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
-    """The nodes reachable from `seed` (seeds included) along `succ`: the one
-    graph closure behind trimming, validation and the mass solve."""
-    seen = set(seed)
-    stack = list(seen)
-    while stack:
-        for t in succ(stack.pop()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
 
 
 def reach_and_coreach(a: Pga) -> tuple[set[int], set[int]]:

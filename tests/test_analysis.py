@@ -28,6 +28,7 @@ from redip import (
     validate_pga,
 )
 from redip.analysis import _useful_system
+from redip.linsolve import strongly_connected_components
 
 from conftest import rand_guard, rand_pga, series_of
 
@@ -286,3 +287,53 @@ def test_coefficient_table_rejects_unknown_and_divergent():
         coefficient_table(loop(H), {"q": 2})
     with pytest.raises(InfiniteMass):
         coefficient_table(loop(ONE), {"x": 2})
+
+
+def _eps_cyclic_pga(rng):
+    """A random automaton over (x, y) whose trimmed form keeps a strongly
+    connected component of two or more states under unlabeled edges alone,
+    so the level system needs elimination, not only back-substitution."""
+    while True:
+        a = rand_pga(rng, max_states=6, label_prob=0.5)
+        members = rng.sample(range(a.num_states), min(a.num_states, rng.randint(2, 3)))
+        cycle = [Edge(q, members[(i + 1) % len(members)], Fraction(rng.randint(1, 3), 8))
+                 for i, q in enumerate(members)]
+        a = make_pga(a.alphabet, a.num_states, a.edges + tuple(cycle), a.initial, a.final)
+        t = trim(a)
+        eps = [[e.dst for e in t.edges if e.src == q and e.symbol is None] for q in range(t.num_states)]
+        if t.final and mass(a) is not INF and any(
+            len(c) > 1 for c in strongly_connected_components(t.num_states, eps)
+        ):
+            return a
+
+
+def test_coefficient_table_matches_pointwise_with_unlabeled_cycles():
+    rng = random.Random(77)
+    for _ in range(12):
+        a = _eps_cyclic_pga(rng)
+        table = coefficient_table(a, {"x": 3, "y": 2})
+        assert len(table) == 12
+        for key, value in table.items():
+            assert coefficient(a, dict(zip(a.alphabet, key))) == value
+
+
+def test_coefficient_table_on_a_unit_chain_divides_nothing(monkeypatch):
+    """A 3,000-state chain with no unlabeled self-loop has only unit pivots,
+    so neither the mass solve nor any level solve divides."""
+    n = 3000
+    edges = [Edge(q, q + 1, H, "x" if q % 3 == 0 else None) for q in range(n - 1)]
+    a = make_pga(("x",), n, edges, {0: ONE}, {q: H for q in range(n)})
+    divisions = []
+    truediv = Fraction.__truediv__
+
+    def counting(self, other):
+        divisions.append(other)
+        return truediv(self, other)
+
+    monkeypatch.setattr(Fraction, "__truediv__", counting)
+    table = coefficient_table(a, {"x": 3})
+    monkeypatch.undo()
+    assert divisions == []
+    # x = k counts the states 3k - 2 .. 3k (state 0 alone for k = 0)
+    assert table[(0,)] == H
+    assert table[(2,)] == sum(H ** (q + 1) for q in (4, 5, 6))

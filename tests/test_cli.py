@@ -189,6 +189,20 @@ def test_infer_non_ascii_digit_exit_code(tmp_path, capsys, digit):
     assert "syntax error: 1:6: unexpected character" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, col",
+    [("x\u00b2 += 1", 2), ("x\u0663 += 1", 2), ("\u00e9 += 1", 1)],
+    ids=["superscript-two", "arabic-indic-three", "accented-letter"],
+)
+def test_infer_non_ascii_name_exit_code(tmp_path, capsys, source, col):
+    """Names are ASCII [A-Za-z_][A-Za-z0-9_]*: another script's letter or
+    digit does not extend one, so `x\u00b2` is not a variable apart from `x`."""
+    path = tmp_path / "name.redip"
+    path.write_text(source, encoding="utf-8")
+    assert main(["infer", str(path)]) == 1
+    assert f"syntax error: 1:{col}: unexpected character" in capsys.readouterr().err
+
+
 # ----- check
 
 

@@ -1,5 +1,9 @@
 """Surface language: tokens, parsing, desugaring, and rendering."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -358,3 +362,22 @@ def test_bad_distribution_parameter_reports_at_the_name():
         with pytest.raises(RedipSyntaxError) as info:
             parse_program(source)
         assert (info.value.line, info.value.column) == (1, 6)
+
+
+def test_pickled_program_hashes_afresh_in_another_process():
+    """Compound nodes cache their hash, which depends on the process's string
+    hash seed, so a pickle must not carry it to another process."""
+    source = "{ x += 1 } [1/2] { skip }; if (x == 0) { y += x } else { skip }"
+    code = (
+        "import pickle, sys\n"
+        "from redip import parse_program\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        f"assert {{p: 1}}[parse_program({source!r})] == 1\n"
+    )
+    p = parse_program(source)
+    hash(p)
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    run = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(p), env=env,
+                         capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()

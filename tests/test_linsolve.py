@@ -240,3 +240,71 @@ def test_singular_cycle_below_a_singleton_prefix_diverges():
     edges = [(0, 1, F(1, 2), "x"), (1, 2, F(1, 2)), (2, 3, F(1)), (3, 2, F(1), "x")]
     a = make_pga(("x",), 4, edges, {0: F(1)}, {3: F(1)})
     assert mass(a) is INF
+
+
+# ------------------------------------------------- sparse back-substitution
+
+
+def _dense_solve(n, rows, rhs):
+    """Gauss-Jordan on the dense matrix, the reference for
+    `FactoredSystem.solve`; None when the matrix is singular."""
+    m = [[rows[i].get(j, F(0)) for j in range(n)] + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_sparse_solve_equals_the_dense_reference(seed):
+    """(I - M) x = b on block-triangular systems, whose cyclic blocks record
+    elimination ops, against one or two nonzero entries of b at a time: the
+    sparse back-substitution gives exactly the dense solution."""
+    rng = random.Random(seed)
+    n, m_rows, _, _ = _block_triangular_system(rng)
+    rows = [{c: -v for c, v in r.items()} for r in m_rows]
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, F(0)) + 1
+    rhss = []
+    for _ in range(3):
+        rhs = [F(0)] * n
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            rhs[i] = F(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+        rhss.append(rhs)
+    expected = [_dense_solve(n, rows, rhs) for rhs in rhss]
+    if expected[0] is None:
+        with pytest.raises(SingularSystem):
+            FactoredSystem(n, rows).solve(rhss[0])
+        return
+    fs = FactoredSystem(n, rows)
+    assert fs.ops
+    for rhs, x in zip(rhss, expected):
+        solution = fs.solve(rhs)
+        assert solution == x
+        assert all(type(v) is F for v in solution)
+
+
+def test_chain_level_solves_divide_nothing(monkeypatch):
+    """Every pivot of a 3,000-state unit-diagonal chain is one: a solve
+    divides nothing, and one nonzero entry reaches only the rows above it."""
+    n = 3000
+    fs = FactoredSystem(n, [{i: F(1), i + 1: F(-1, 2)} for i in range(n - 1)] + [{n - 1: F(1)}])
+    divisions = []
+    truediv = F.__truediv__
+
+    def counting(self, other):
+        divisions.append(other)
+        return truediv(self, other)
+
+    monkeypatch.setattr(F, "__truediv__", counting)
+    x = fs.solve([F(0)] * 10 + [F(1)] + [F(0)] * (n - 11))
+    monkeypatch.undo()
+    assert divisions == []
+    assert x == [F(1, 2 ** (10 - i)) for i in range(11)] + [F(0)] * (n - 11)

@@ -24,6 +24,7 @@ from redip import (
     save_pga,
     trim,
 )
+from redip.lang import Observe
 from redip.oracle import (
     Running,
     Terminated,
@@ -145,6 +146,26 @@ def test_enumerate_observe_false_is_all_violation():
     rep = enumerate_program(parse_program("x := 0; observe(x >= 1)"))
     assert rep.terminal == {}
     assert rep.violation == 1
+
+
+@pytest.mark.parametrize("length", [200, 400])
+def test_enumerate_hashes_each_statement_a_bounded_number_of_times(monkeypatch, length):
+    """The memo hashes a configuration at every step; compound program nodes
+    cache their hash, so a straight-line program's statements are hashed a
+    bounded number of times each, not once per step still ahead of them."""
+    calls = []
+    walk = Observe.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return walk(self)
+
+    p = parse_program("; ".join(["x += bernoulli(1/2)"] + ["observe(x < 1)"] * length))
+    monkeypatch.setattr(Observe, "__hash__", counting)
+    rep = enumerate_program(p)
+    monkeypatch.undo()
+    assert rep.terminal == {(0,): H}
+    assert len(calls) <= 3 * length
 
 
 # ----- pmf helpers
