@@ -16,6 +16,12 @@ depend on PYTHONHASHSEED. Run it once per tree and compare:
 
     PYTHONPATH=<tree>/src python3 scripts/fingerprint.py --seeds 3 4 > <tree>.txt
     diff parent.txt change.txt
+
+With `--answers-only` the `posterior=` and `steps=` columns are left out, so
+the lines compare what a user can observe (z, the answers, the table, the
+program text and the error messages) and not the automaton that carries them.
+That is the identity check for a change that reshapes the automaton, such as
+a reduction or a rewritten construction.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def fingerprint(case: workloads.Case) -> str:
+def fingerprint(case: workloads.Case, answers_only: bool = False) -> str:
     text = "-"
     try:
         p = parse_program(case.source)
@@ -100,23 +106,32 @@ def fingerprint(case: workloads.Case) -> str:
         table = coefficient_table(posterior, dict.fromkeys(posterior.alphabet, 3))
     except RedipError as exc:
         return f"text={text} error={type(exc).__name__}: {exc}"
-    return (
-        f"posterior={digest(pga_to_json(posterior))} z={result.normalizing_constant} "
-        f"steps={digest(repr(result.steps))} text={text} answers={digest(repr(answers))} "
-        f"table={digest(repr(table))}"
-    )
+    columns = {
+        "posterior": digest(pga_to_json(posterior)),
+        "z": result.normalizing_constant,
+        "steps": digest(repr(result.steps)),
+        "text": text,
+        "answers": digest(repr(answers)),
+        "table": digest(repr(table)),
+    }
+    if answers_only:
+        del columns["posterior"], columns["steps"]
+    return " ".join(f"{name}={value}" for name, value in columns.items())
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4], help="small-corpus seeds")
+    ap.add_argument(
+        "--answers-only", action="store_true", help="leave out the posterior and step hashes"
+    )
     args = ap.parse_args()
     cases = corpus(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "die.json").write_text(json.dumps(DIE), encoding="utf-8")
         os.chdir(tmp)  # the sugar programs name the custom file by a relative path
         for i, case in enumerate(cases):
-            print(f"{i} {case.name} {fingerprint(case)}")
+            print(f"{i} {case.name} {fingerprint(case, args.answers_only)}")
     return 0
 
 

@@ -38,9 +38,9 @@ def main() -> int:
 
     if not args.no_steps:
         width = max(len(s.detail) for s in res.steps)
-        print("construction steps (transition counts before/after trimming)")
+        print("construction steps (raw size -> kept size, kept states)")
         for s in res.steps:
-            print(f"  {s.construction:<17} {s.detail:<{width}}  {s.pre_trim_size:>4} -> {s.post_trim_size}")
+            print(f"  {s.construction:<17} {s.detail:<{width}}  {s.pre_trim_size:>4} -> {s.post_trim_size:<4} {s.states:>4}")
         print()
 
     print(f"prior mass:           {frac(res.prior_mass)}")

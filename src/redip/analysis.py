@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from . import linsolve
-from .errors import InfiniteMass, InvalidAutomaton, UnknownVariable, ZeroMass
+from .errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
 from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem
 from .pga import Pga, closure, make_pga, reach_and_coreach, trim
@@ -174,9 +174,11 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     the labeled arcs into the previous level's nonzero entries, and its
     sparse solve pays only for the entries that these can reach.
     """
-    for var in bounds:
+    for var, bound in bounds.items():
         if var not in a.alphabet:
             raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
+        if bound < 0:
+            raise InvalidParameter(f"bound for {var} must be nonnegative, got {bound}")
     t = trim(a)
     box = [range(bounds.get(var, 0) + 1) for var in t.alphabet]
     table = CoefficientTable()

@@ -120,11 +120,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     if args.steps:
         doc["steps"] = [dataclasses.asdict(s) for s in result.steps]
-        lines.append("steps (construction, raw size -> trimmed size):")
+        lines.append("steps (construction, raw size -> kept size, kept states):")
         for s in result.steps:
-            lines.append(
-                f"  {s.construction:<17} {s.pre_trim_size:>5} -> {s.post_trim_size:<5} {s.detail}"
-            )
+            sizes = f"{s.pre_trim_size:>5} -> {s.post_trim_size:<5} {s.states:>5}"
+            lines.append(f"  {s.construction:<17} {sizes}  {s.detail}")
 
     target = result.unnormalized if args.unnormalized else result.posterior
     if args.out:

@@ -34,7 +34,7 @@ class UnknownVariable(RedipError):
 
 
 class InvalidParameter(RedipError):
-    """A distribution parameter is out of range."""
+    """A distribution parameter or a count argument is out of range."""
 
 
 class CustomMassNotOne(RedipError):

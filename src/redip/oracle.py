@@ -30,7 +30,7 @@ from .dists import (
     NegBinomial,
     Uniform,
 )
-from .errors import InvalidAutomaton, RedipError, UnsupportedIid
+from .errors import InvalidAutomaton, InvalidParameter, RedipError, UnsupportedIid
 from .guards import guard_satisfies
 from .lang import (
     Choice,
@@ -230,6 +230,8 @@ def enumerate_program(
     weighted list of initial valuations (a prior's support); default is the
     all-zero valuation with weight one.
     """
+    if truncation < 0:
+        raise InvalidParameter(f"truncation must be nonnegative, got {truncation}")
     alphabet = alphabet if alphabet is not None else program_vars(p)
     pmfs = _PmfTable(truncation)
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
@@ -344,6 +346,8 @@ def mc_sample(
     Supports iid increments (the count variable is read at run time), so this
     is the route for validating programs the exact oracle refuses.
     """
+    if samples < 0:
+        raise InvalidParameter(f"sample count must be nonnegative, got {samples}")
     alphabet = alphabet if alphabet is not None else program_vars(p)
     rng = random.Random(seed)
     index = {v: i for i, v in enumerate(alphabet)}

@@ -198,6 +198,53 @@ def trim(a: Pga) -> Pga:
     return make_pga(a.alphabet, len(useful), edges, initial, final)
 
 
+def contract(a: Pga) -> Pga:
+    """Contract the unlabeled arcs that are a state's only way out or in.
+
+    Backward: a non-final state q whose only out-arc is an unlabeled q -> r,
+    r != q, of weight w hands r its in-arcs and its initial weight, times w.
+    Forward, the mirror image: a non-initial q whose only in-arc is an
+    unlabeled p -> q, p != q, hands p its out-arcs and final weight, times w.
+    Parallel arcs are summed. Each step removes a state and at least one
+    edge and maps runs one to one onto runs of equal weight and labels, so
+    the series, divergence included, is unchanged. Survivors keep their
+    order; an automaton with nothing to contract is returned as it is.
+    """
+    n = a.num_states
+    out: list[dict[tuple[int, Symbol], Fraction]] = [{} for _ in range(n)]
+    into: list[dict[tuple[int, Symbol], Fraction]] = [{} for _ in range(n)]
+    for e in a.edges:
+        out[e.src][e.dst, e.symbol] = into[e.dst][e.src, e.symbol] = e.weight
+    initial, final = dict(a.initial), dict(a.final)
+    # backward rule, then its mirror image: arcs reversed, initial and final swapped
+    rules = ((out, into, final, initial), (into, out, initial, final))
+    alive, work = [True] * n, list(range(n - 1, -1, -1))
+    while work:  # smallest state first; touched states are looked at again
+        q = work.pop()
+        for arcs, rev, stop, moved in rules if alive[q] else ():
+            if len(arcs[q]) != 1 or q in stop:
+                continue
+            ((t, symbol), w), = arcs[q].items()
+            if symbol is not None or t == q:
+                continue
+            alive[q] = False
+            del rev[t][q, None]
+            for (p, sym), v in rev[q].items():  # re-point q's other arcs at t
+                del arcs[p][q, sym]
+                arcs[p][t, sym] = rev[t][p, sym] = arcs[p].get((t, sym), 0) + v * w
+                work.append(p)
+            if q in moved:
+                moved[t] = moved.get(t, 0) + moved.pop(q) * w
+            work.append(t)
+            break
+    if all(alive):
+        return a
+    index = {q: i for i, q in enumerate(q for q in range(n) if alive[q])}
+    edges = [(index[p], index[t], w, s) for p in index for (t, s), w in out[p].items()]
+    ends = [{index[q]: w for q, w in m.items()} for m in (initial, final)]
+    return make_pga(a.alphabet, len(index), edges, *ends)
+
+
 def is_acyclic(a: Pga) -> bool:
     """True when the edge graph has no directed cycle: every strongly
     connected component is a single state without a self-loop."""

@@ -16,10 +16,12 @@ accumulated so far (starting from the prior):
 * `{p} [w] {q}`       weighted union of the two translated branches
 * `if (g) ...`        union of the guard-filtered branch translations
 
-The automaton is trimmed after every construction; the raw size before
-trimming is recorded so growth bounds can be checked against theory. The
-product is the construction for `observe`, `if` and (inside it) `x--`; no
-query builds it.
+After every construction the automaton is trimmed, then contracted: each
+unlabeled arc that is a state's only way out or in is folded into its
+neighbours, so the bridges of concat, transition-subst and `x--` do not pile
+up. A step records its raw size, checked against theory's growth bounds, and
+the edges and states it keeps. The product is the construction for
+`observe`, `if` and (inside it) `x--`; no query builds it.
 
 The queries on a translated automaton are masses too: `guard_mass` takes the
 mass under the guard's DFA as a filter, which solves over the useful pairs
@@ -48,6 +50,7 @@ from .errors import (
     InfeasibleObservation,
     InfiniteMass,
     InvalidAutomaton,
+    InvalidParameter,
     RedipError,
     UnknownVariable,
 )
@@ -68,16 +71,19 @@ from .lang import (
     guard_to_text,
     program_vars,
 )
-from .pga import Edge, Pga, extend_alphabet, make_pga, trim, unit_pga
+from .pga import Edge, Pga, contract, extend_alphabet, make_pga, trim, unit_pga
 from .rational import is_finite
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One construction: its raw edge count, then the edges and states kept."""
+
     construction: str
     detail: str
     pre_trim_size: int
     post_trim_size: int
+    states: int
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,9 @@ class _Translator:
         self.steps: list[StepRecord] = []
 
     def record(self, construction: str, detail: str, raw: Pga) -> Pga:
-        trimmed = trim(raw)
-        self.steps.append(StepRecord(construction, detail, raw.size, trimmed.size))
-        return trimmed
+        kept = contract(trim(raw))
+        self.steps.append(StepRecord(construction, detail, raw.size, kept.size, kept.num_states))
+        return kept
 
     def apply(self, a: Pga, p: Program) -> Pga:
         alpha = self.alphabet
@@ -245,10 +251,12 @@ def marginal(a: Pga, var: str, upto: int) -> tuple[list[Fraction], Fraction]:
     """Pointwise marginal of one variable: ([P(var=0..upto)], tail mass)."""
     if var not in a.alphabet:
         raise InvalidAutomaton(f"{var!r} not in alphabet {a.alphabet}")
+    if upto < 0:
+        raise InvalidParameter(f"marginal bound must be nonnegative, got {upto}")
     b = a
     for other in a.alphabet:
         if other != var:
-            b = trim(label_subst_one(b, other))
+            b = contract(trim(label_subst_one(b, other)))
     table = coefficient_table(b, {var: upto})
     # only var has a nonzero bound, so the table runs through var = 0..upto
     probs = list(table.values())

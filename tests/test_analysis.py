@@ -12,6 +12,7 @@ from redip import (
     Edge,
     InfiniteMass,
     InvalidAutomaton,
+    InvalidParameter,
     LessThan,
     UnknownVariable,
     ZeroMass,
@@ -285,6 +286,8 @@ def test_coefficient_table_missing_bound_means_zero():
 def test_coefficient_table_rejects_unknown_and_divergent():
     with pytest.raises(UnknownVariable):
         coefficient_table(loop(H), {"q": 2})
+    with pytest.raises(InvalidParameter):
+        coefficient_table(loop(H), {"x": -1})
     with pytest.raises(InfiniteMass):
         coefficient_table(loop(ONE), {"x": 2})
 

@@ -110,6 +110,22 @@ def test_infer_steps_table(program, capsys):
     assert main(["infer", program, "--steps"]) == 0
     out = capsys.readouterr().out
     assert "union" in out and "concat" in out
+    assert "raw size -> kept size" in out
+
+
+def test_infer_steps_json_carries_kept_states(program, capsys):
+    assert main(["infer", program, "--steps", "--json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    result = infer(parse_program(INSURANCE))
+    assert [(s["post_trim_size"], s["states"]) for s in steps] == [
+        (s.post_trim_size, s.states) for s in result.steps
+    ]
+
+
+def test_infer_negative_marginal_bound_exit_code(program, capsys):
+    assert main(["infer", program, "--marginal", "x", "--upto", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "nonnegative" in captured.err and "P(x > -1)" not in captured.out
 
 
 def test_infer_long_straight_line_program(tmp_path, capsys):
@@ -285,6 +301,21 @@ def test_reads_program_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("x += 1\n"))
     assert main(["parse", "-"]) == 0
     assert "x += 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mode", "mc", "--samples", "-5"],
+        ["--mode", "enumerate", "--trunc", "-1"],
+        ["--mode", "compare", "--trunc", "-1"],
+    ],
+)
+def test_oracle_negative_counts_exit_code(program, capsys, flags):
+    assert main(["oracle", program, *flags]) == 1
+    captured = capsys.readouterr()
+    assert "must be nonnegative" in captured.err
+    assert "accepted" not in captured.out and "residual" not in captured.out
 
 
 def test_oracle_compare_long_straight_line_program(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Automaton core: construction, canonical form, trimming, acyclicity."""
+"""Automaton core: construction, canonical form, trimming, contraction,
+acyclicity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from redip import (
     trim,
     unit_pga,
 )
-from redip.pga import extend_alphabet, is_acyclic, rename_variable
+from redip.analysis import coefficient_table, mass
+from redip.pga import contract, extend_alphabet, is_acyclic, rename_variable
+from redip.rational import is_finite
 
 from conftest import rand_pga, series_of
 
@@ -221,6 +225,107 @@ def test_trim_returns_a_trimmed_automaton_itself():
     t = trim(a)
     assert t.num_states == 2
     assert trim(t) is t
+
+
+# ----- contraction
+
+
+def test_contract_backward_hands_in_arcs_and_initial_weight_on():
+    # 0 -eps-> 1 -x-> 2 -eps-> 3: states 0 and 2 have one unlabeled way out
+    a = make_pga(
+        ("x",),
+        4,
+        [Edge(0, 1, H, None), Edge(1, 2, Fraction(1, 3), "x"), Edge(2, 3, Fraction(1, 4), None)],
+        {0: Fraction(1)},
+        {3: Fraction(1)},
+    )
+    c = contract(a)
+    assert c.edges == (Edge(0, 1, Fraction(1, 12), "x"),)
+    assert c.initial == {0: H}
+    assert c.final == {1: Fraction(1)}
+
+
+def test_contract_forward_hands_out_arcs_and_final_weight_back():
+    # state 1 is final, so only its single unlabeled in-arc can absorb it
+    a = make_pga(
+        ("x", "y"),
+        3,
+        [Edge(0, 0, H, "x"), Edge(0, 1, H, None), Edge(1, 2, Fraction(1, 4), "y")],
+        {0: Fraction(1)},
+        {1: Fraction(1), 2: Fraction(1)},
+    )
+    c = contract(a)
+    assert c.edges == (Edge(0, 0, H, "x"), Edge(0, 1, Fraction(1, 8), "y"))
+    assert c.initial == {0: Fraction(1)}
+    assert c.final == {0: H, 1: Fraction(1)}
+
+
+def test_contract_sums_parallel_arcs_and_closes_eps_cycles_into_loops():
+    # 0 -x-> 1 and 0 -x-> 2 -eps-> 1 merge; the 1 <-> 3 eps cycle becomes a loop
+    a = make_pga(
+        ("x",),
+        4,
+        [
+            Edge(0, 1, Fraction(1, 4), "x"),
+            Edge(0, 2, Fraction(1, 4), "x"),
+            Edge(2, 1, H, None),
+            Edge(1, 3, H, None),
+            Edge(3, 1, Fraction(1, 3), None),
+        ],
+        {0: Fraction(1)},
+        {1: H},
+    )
+    c = contract(a)
+    assert c.num_states == 2
+    assert c.edges == (Edge(0, 1, Fraction(3, 8), "x"), Edge(1, 1, Fraction(1, 6), None))
+    assert mass(c) == mass(a) == Fraction(3, 8) * H / (1 - Fraction(1, 6))
+
+
+def contraction_sample():
+    """Seeded random automata with few labels, so unlabeled chains, cycles and
+    self-loops are common; some have several initial or final states."""
+    rng = random.Random(20261018)
+    return [rand_pga(rng, max_states=6, label_prob=0.3, edge_density=0.4) for _ in range(300)]
+
+
+def test_contract_keeps_mass_and_divergence():
+    seen = {"contracted": 0, "divergent": 0, "several ends": 0}
+    for a in contraction_sample():
+        c = contract(a)
+        assert mass(c) == mass(a)
+        assert is_finite(mass(c)) == is_finite(mass(a))
+        seen["contracted"] += c is not a
+        seen["divergent"] += not is_finite(mass(a))
+        seen["several ends"] += c is not a and (len(a.initial) > 1 or len(a.final) > 1)
+    assert all(seen.values()), seen
+
+
+def test_contract_keeps_two_variable_coefficient_boxes():
+    checked = 0
+    for a in contraction_sample():
+        c = contract(a)
+        if c is a or not is_finite(mass(a)):
+            continue
+        box = {"x": 3, "y": 2}
+        table, kept = coefficient_table(a, box), coefficient_table(c, box)
+        assert table == kept and table.total == kept.total
+        checked += 1
+    assert checked >= 50
+
+
+def test_contract_never_grows_and_is_idempotent():
+    for a in contraction_sample():
+        c = contract(a)
+        assert c.num_states <= a.num_states and c.size <= a.size
+        if c is not a:
+            assert c.num_states < a.num_states and c.size < a.size
+        assert contract(c) is c
+
+
+def test_contract_keeps_a_trimmed_automaton_trimmed():
+    for a in contraction_sample():
+        c = contract(trim(a))
+        assert trim(c) == c
 
 
 # ----- acyclicity

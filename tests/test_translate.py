@@ -9,6 +9,7 @@ from redip import (
     Edge,
     InfeasibleObservation,
     InvalidAutomaton,
+    InvalidParameter,
     coefficient,
     coefficient_table,
     dist_pmf,
@@ -170,6 +171,36 @@ def test_step_records_cover_the_translation():
     assert names == {"subst-one", "concat", "union", "product"}
     for s in res.steps:
         assert 0 <= s.post_trim_size <= s.pre_trim_size
+        assert s.states >= 1
+    # the last step's kept automaton is the one that inference normalizes
+    assert res.steps[-1].states == res.unnormalized.num_states
+    assert res.steps[-1].post_trim_size == res.unnormalized.size
+
+
+def ladder(rounds):
+    return ";\n".join(["x += bernoulli(1/2); x--"] * rounds)
+
+
+def test_decrement_ladder_posterior_does_not_double():
+    # the benchmark's dec-ladder m=18: every round ends at x = 0, and the
+    # contracted posterior keeps that point mass in at most two states
+    res = infer(parse_program(ladder(9)))
+    assert res.posterior.num_states <= 2
+    assert res.posterior.size == 0
+    assert all(s.states <= 2 for s in res.steps)
+
+
+def test_long_decrement_ladder_infers_to_a_point_mass():
+    res = infer(parse_program(ladder(25)))
+    assert res.normalizing_constant == 1
+    assert res.posterior.size == 0
+    assert coefficient(res.posterior, {"x": 0}) == 1
+    assert marginal(res.posterior, "x", 2) == ([ONE, 0, 0], 0)
+
+
+def test_marginal_rejects_a_negative_bound():
+    with pytest.raises(InvalidParameter):
+        marginal(infer(parse_program("x += 1")).posterior, "x", -1)
 
 
 def test_constant_increment_pre_trim_size():
