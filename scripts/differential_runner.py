@@ -35,9 +35,9 @@ from redip import (
     Seq,
     SetZero,
     Uniform,
-    program_to_text,
     translate,
 )
+from redip.lang import program_to_text
 from redip.oracle import compare
 
 PROBS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(9, 10)]

@@ -48,8 +48,8 @@ from redip import (  # noqa: E402
     parse_guard,
     parse_program,
     pga_to_json,
-    program_to_text,
 )
+from redip.lang import program_to_text  # noqa: E402
 
 # one custom distribution, written next to the programs that read it
 DIE = {

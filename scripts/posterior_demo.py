@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from redip import infer, load_pga, marginal, parse_program, program_to_text
+from redip import infer, load_pga, marginal, parse_program
+from redip.lang import program_to_text
 
 
 def frac(q: Fraction) -> str:

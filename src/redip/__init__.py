@@ -6,15 +6,16 @@ often each counter variable was bumped, form the program's outcome
 distribution. Normalizing constants, posterior probabilities, and individual
 outcome probabilities then fall out of exact rational linear algebra on the
 automaton, with no sampling and no truncation.
+
+The package exports the user API. Everything else (the error subclasses,
+result and report records, `trim`, `normalize`, the printers, the oracle's
+helpers) is imported from its module: `redip.errors`, `redip.translate`,
+`redip.pga`, `redip.analysis`, `redip.lang`, `redip.oracle`, and so on.
+Note that `redip.translate` is the function, so code that needs the module
+writes `from redip.translate import ...`.
 """
 
-from .analysis import (
-    PgaReport,
-    coefficient_table,
-    mass,
-    normalize,
-    validate_pga,
-)
+from .analysis import coefficient_table, mass
 from .constructions import (
     concat,
     decrement,
@@ -29,42 +30,13 @@ from .dists import (
     Binomial,
     Custom,
     Dirac,
-    DistSpec,
     Geometric,
     NegBinomial,
     Uniform,
     build_dist_pga,
 )
-from .errors import (
-    CustomMassNotOne,
-    CustomNotNormalized,
-    GuardConstraintError,
-    InfeasibleObservation,
-    InfiniteMass,
-    InvalidAutomaton,
-    InvalidParameter,
-    InvalidWeight,
-    PgaParseError,
-    ProbabilityRangeError,
-    RedipError,
-    RedipSyntaxError,
-    UnknownVariable,
-    UnsupportedIid,
-    ZeroMass,
-)
-from .guards import (
-    And,
-    Guard,
-    LessThan,
-    ModEq,
-    Not,
-    build_guard_dfa,
-    equality_guard,
-    guard_negate,
-    guard_satisfies,
-    guard_size,
-    guard_vars,
-)
+from .errors import InfeasibleObservation, RedipError
+from .guards import And, LessThan, ModEq, Not, build_guard_dfa, guard_satisfies, guard_size
 from .lang import (
     Choice,
     Decrement,
@@ -74,46 +46,16 @@ from .lang import (
     IncrIid,
     IncrVar,
     Observe,
-    Program,
     Seq,
     SetZero,
-    dist_to_text,
-    guard_to_text,
     parse_guard,
     parse_program,
-    parse_valuation,
     program_size,
-    program_to_text,
-    program_vars,
 )
-from .oracle import (
-    ComparisonResult,
-    McReport,
-    OracleReport,
-    compare,
-    dist_pmf,
-    enumerate_program,
-    mc_sample,
-)
-from .pga import (
-    Edge,
-    Pga,
-    make_pga,
-    trim,
-    unit_pga,
-)
-from .rational import INF, is_finite
-from .serialize import (
-    load_pga,
-    pga_from_json,
-    pga_to_dot,
-    pga_to_json,
-    save_pga,
-)
+from .oracle import compare, enumerate_program
+from .pga import Edge, Pga, make_pga
+from .serialize import load_pga, pga_from_json, pga_to_json, save_pga
 from .translate import (
-    InferenceResult,
-    StepRecord,
-    TranslationResult,
     coefficient,
     guard_mass,
     infer,
@@ -125,98 +67,25 @@ from .translate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "And",
-    "Bernoulli",
-    "Binomial",
-    "Choice",
-    "ComparisonResult",
-    "Custom",
-    "CustomMassNotOne",
-    "CustomNotNormalized",
-    "Decrement",
-    "Dirac",
-    "DistSpec",
-    "Edge",
-    "Geometric",
-    "Guard",
-    "GuardConstraintError",
-    "INF",
-    "IfElse",
-    "IncrConst",
-    "IncrDist",
-    "IncrIid",
-    "IncrVar",
-    "InfeasibleObservation",
-    "InferenceResult",
-    "InfiniteMass",
-    "InvalidAutomaton",
-    "InvalidParameter",
-    "InvalidWeight",
-    "LessThan",
-    "McReport",
-    "ModEq",
-    "NegBinomial",
-    "Not",
-    "Observe",
-    "OracleReport",
-    "Pga",
-    "PgaParseError",
-    "PgaReport",
-    "ProbabilityRangeError",
-    "Program",
-    "RedipError",
-    "RedipSyntaxError",
-    "Seq",
-    "SetZero",
-    "StepRecord",
-    "TranslationResult",
-    "Uniform",
-    "UnknownVariable",
-    "UnsupportedIid",
-    "ZeroMass",
+    # programs: parsing and the statement AST
+    "parse_program", "parse_guard", "program_size",
+    "Seq", "IfElse", "Choice", "Observe", "SetZero", "IncrConst", "IncrVar",
+    "IncrDist", "IncrIid", "Decrement",
+    # guards
+    "And", "Not", "LessThan", "ModEq", "build_guard_dfa", "guard_satisfies", "guard_size",
+    # distributions
+    "Bernoulli", "Binomial", "Custom", "Dirac", "Geometric", "NegBinomial", "Uniform",
     "build_dist_pga",
-    "build_guard_dfa",
-    "coefficient",
-    "coefficient_table",
-    "compare",
-    "concat",
-    "decrement",
-    "dist_pmf",
-    "dist_to_text",
-    "enumerate_program",
-    "equality_guard",
-    "guard_mass",
-    "guard_negate",
-    "guard_satisfies",
-    "guard_size",
-    "guard_to_text",
-    "guard_vars",
-    "infer",
-    "is_finite",
-    "label_subst_one",
-    "label_subst_zero",
-    "load_pga",
-    "make_pga",
-    "marginal",
-    "mass",
-    "mc_sample",
-    "normalize",
-    "parse_guard",
-    "parse_program",
-    "parse_valuation",
-    "pga_from_json",
-    "pga_to_dot",
-    "pga_to_json",
-    "product",
-    "program_size",
-    "program_to_text",
-    "program_vars",
-    "save_pga",
-    "transition_subst",
-    "translate",
-    "trim",
-    "unit_pga",
-    "validate_pga",
-    "weighted_union",
-    "working_alphabet",
+    # inference and queries
+    "translate", "infer", "working_alphabet", "mass", "coefficient", "coefficient_table",
+    "guard_mass", "marginal",
+    # automata and their constructions
+    "Pga", "Edge", "make_pga", "concat", "product", "weighted_union", "transition_subst",
+    "decrement", "label_subst_zero", "label_subst_one",
+    # automaton files
+    "load_pga", "save_pga", "pga_to_json", "pga_from_json",
+    # the reference oracle
+    "enumerate_program", "compare",
+    # errors
+    "RedipError", "InfeasibleObservation",
 ]

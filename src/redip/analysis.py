@@ -45,35 +45,30 @@ def _useful_system(
     keeps it; initial weight sits on (q, dfa.initial), final weight on
     (q, accepting s). Useful pairs are reached from an initial pair and reach
     a final one; they are numbered in increasing pair order, the state order
-    of `trim(product(a, dfa))`. With a filter, only the pairs reached are
-    ever built.
+    of `trim(product(a, dfa))`. Only the pairs reached are ever built.
     """
-    arcs: Union[list[dict[int, Fraction]], dict[int, dict[int, Fraction]]]
-    if dfa is None:  # pairs are states: build every row up front
+    if dfa is None:  # no filter: the one-state guard that accepts everything
         k, start, accepting = 1, 0, {0}
-        arcs = [{} for _ in range(a.num_states)]
-        for e in a.edges:
-            row, t = arcs[e.src], e.dst
-            row[t] = row[t] + e.weight if t in row else e.weight
-        successors = arcs.__getitem__
-    else:  # build the row of a pair when the walk first reaches it
+        steps = {var: [0] for var in a.alphabet}
+    else:
         if dfa.alphabet != a.alphabet:
             raise InvalidAutomaton(f"alphabet mismatch {a.alphabet} vs {dfa.alphabet}")
         k, start, accepting = dfa.num_states, dfa.initial, dfa.accepting
         steps = {var: [dfa.delta[(s, var)] for s in range(k)] for var in a.alphabet}
-        steps[None] = list(range(k))
-        out: list[list[tuple[int, Fraction, list[int]]]] = [[] for _ in range(a.num_states)]
-        for e in a.edges:
-            out[e.src].append((e.dst * k, e.weight, steps[e.symbol]))
-        arcs = {}
+    steps[None] = list(range(k))
+    out: list[list[tuple[int, Fraction, list[int]]]] = [[] for _ in range(a.num_states)]
+    for e in a.edges:
+        out[e.src].append((e.dst * k, e.weight, steps[e.symbol]))
+    arcs: dict[int, dict[int, Fraction]] = {}
 
-        def successors(p: int) -> dict[int, Fraction]:
-            row = arcs[p] = {}
-            q, s = divmod(p, k)
-            for base, w, step in out[q]:
-                t = base + step[s]
-                row[t] = row[t] + w if t in row else w
-            return row
+    def successors(p: int) -> dict[int, Fraction]:
+        """The row of pair p, built when the walk first reaches it."""
+        row = arcs[p] = {}
+        q, s = divmod(p, k)
+        for base, w, step in out[q]:
+            t = base + step[s]
+            row[t] = row[t] + w if t in row else w
+        return row
 
     reach = closure([q * k + start for q in a.initial], successors)
     pred: defaultdict[int, list[int]] = defaultdict(list)

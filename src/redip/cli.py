@@ -2,9 +2,9 @@
 
 Subcommands: parse, infer, query, check, export-dot, oracle.
 
-Exit codes: 0 success, 1 syntax or usage problem in the input program or
-query, 2 infeasible conditioning (zero normalizing constant), 3 I/O or
-automaton-file problem, 4 oracle comparison failure.
+Exit codes: 0 success, 1 syntax or usage problem in the input program, the
+query or the command line, 2 infeasible conditioning (zero normalizing
+constant), 3 I/O or automaton-file problem, 4 oracle comparison failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 from .analysis import validate_pga
 from .errors import (
@@ -228,23 +228,43 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other input problem: argparse's own
+    code 2 is taken by infeasible conditioning."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="redip", description="exact inference for loop-free discrete programs"
-    )
+    top = _Parser(prog="redip", description="exact inference for loop-free discrete programs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, file_help: str) -> None:
+    def command(
+        name: str,
+        handler: Callable[[argparse.Namespace], int],
+        text: str,
+        file_help: str,
+        digits: bool = False,
+        as_json: bool = False,
+    ) -> argparse.ArgumentParser:
+        """A subcommand with its file argument and only the output flags it reads."""
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("file", help=file_help)
-        sp.add_argument("--digits", type=int, default=6, help="decimal digits shown")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if digits:
+            sp.add_argument("--digits", type=int, default=6, help="decimal digits shown")
+        if as_json:
+            sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("parse", help="parse and echo the desugared program")
-    common(sp, "program file, or - for stdin")
-    sp.set_defaults(handler=cmd_parse)
+    program_file, either_file = "program file, or - for stdin", "program file or automaton .json"
+    command("parse", cmd_parse, "parse and echo the desugared program", program_file,
+            as_json=True)
 
-    sp = sub.add_parser("infer", help="exact posterior inference")
-    common(sp, "program file, or - for stdin")
+    sp = command("infer", cmd_infer, "exact posterior inference", program_file,
+                 digits=True, as_json=True)
     sp.add_argument("--prior", help="automaton JSON file used as the prior")
     sp.add_argument("--query", help="guard whose posterior probability to report")
     sp.add_argument("--marginal", metavar="VAR", help="variable whose marginal to report")
@@ -253,33 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--unnormalized", action="store_true",
                     help="save the unnormalized automaton instead of the posterior")
     sp.add_argument("-o", "--out", help="write the resulting automaton JSON here")
-    sp.set_defaults(handler=cmd_infer)
 
-    sp = sub.add_parser("query", help="query a stored automaton")
-    common(sp, "automaton JSON file")
+    sp = command("query", cmd_query, "query a stored automaton", "automaton JSON file",
+                 digits=True, as_json=True)
     sp.add_argument("--at", help='valuation like "x=2,r=0": exact coefficient')
     sp.add_argument("--guard", help="guard: probability mass of satisfying runs")
-    sp.set_defaults(handler=cmd_query)
 
-    sp = sub.add_parser("check", help="validate a program or automaton file")
-    common(sp, "program file or automaton .json")
-    sp.set_defaults(handler=cmd_check)
+    command("check", cmd_check, "validate a program or automaton file", either_file)
 
-    sp = sub.add_parser("export-dot", help="render a program translation or automaton to DOT")
-    common(sp, "program file or automaton .json")
+    sp = command("export-dot", cmd_export_dot,
+                 "render a program translation or automaton to DOT", either_file)
     sp.add_argument("--name", default="pga", help="graph name")
     sp.add_argument("-o", "--out", help="output file (default stdout)")
-    sp.set_defaults(handler=cmd_export_dot)
 
-    sp = sub.add_parser("oracle", help="reference interpreter and differential check")
-    common(sp, "program file, or - for stdin")
+    sp = command("oracle", cmd_oracle, "reference interpreter and differential check",
+                 program_file, digits=True)
     sp.add_argument("--mode", choices=("enumerate", "mc", "compare"), default="enumerate")
     sp.add_argument("--prior", help="automaton JSON file used as the prior")
     sp.add_argument("--trunc", type=int, default=40, help="sampling truncation bound")
     sp.add_argument("--samples", type=int, default=100_000, help="mc sample count")
     sp.add_argument("--seed", type=int, default=0, help="mc rng seed")
     sp.add_argument("--limit", type=int, default=20, help="mc rows shown")
-    sp.set_defaults(handler=cmd_oracle)
 
     return top
 

@@ -40,7 +40,7 @@ from .dists import (
     Uniform,
 )
 from .errors import InvalidParameter, ProbabilityRangeError, RedipSyntaxError, UnknownVariable
-from .guards import And, Guard, LessThan, ModEq, Not, guard_vars
+from .guards import And, Guard, LessThan, ModEq, Not, guard_negate, guard_vars
 
 # ---------------------------------------------------------------- core AST
 
@@ -550,7 +550,7 @@ class _Parser:
             self.descend(tok)
             inner = self.guard_neg()
             self.depth -= 1
-            return inner.inner if isinstance(inner, Not) else Not(inner)
+            return guard_negate(inner)
         return self.guard_primary()
 
     def guard_primary(self) -> Guard:

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic.
 
 Weights are nonnegative `fractions.Fraction` values everywhere; no floats enter
-any computation. The one extension is a single +infinity point (`INF`) used for
-diverging total mass, with the usual semiring rules on the nonnegative extended
-rationals: a + INF = INF, a * INF = INF for a > 0, and 0 * INF = 0.
+any computation. The one extension is a single +infinity point (`INF`) that
+`mass` returns for a diverging total mass. It is a sentinel only: it has no
+arithmetic or ordering, so callers test it with `is_finite` first.
 """
 
 from __future__ import annotations
@@ -31,45 +31,6 @@ class Infinity:
 
     def __hash__(self) -> int:
         return hash("redip.INF")
-
-    def _check(self, other: object) -> None:
-        if isinstance(other, Infinity):
-            return
-        if isinstance(other, (int, Fraction)):
-            if other < 0:
-                raise InvalidWeight("arithmetic with INF is defined on nonnegative values only")
-            return
-        raise TypeError(f"cannot combine INF with {type(other).__name__}")
-
-    def __add__(self, other: object) -> "Infinity":
-        self._check(other)
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other: object) -> "ExtRational":
-        self._check(other)
-        if not isinstance(other, Infinity) and other == 0:
-            return Fraction(0)
-        return self
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: object) -> bool:
-        self._check(other)
-        return False
-
-    def __le__(self, other: object) -> bool:
-        self._check(other)
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other: object) -> bool:
-        self._check(other)
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other: object) -> bool:
-        self._check(other)
-        return True
 
 
 INF = Infinity()

@@ -19,7 +19,6 @@ from redip import (
     Dirac,
     Edge,
     Geometric,
-    Guard,
     IfElse,
     IncrConst,
     IncrDist,
@@ -30,14 +29,15 @@ from redip import (
     Not,
     Observe,
     Pga,
-    Program,
     Seq,
     SetZero,
     Uniform,
     make_pga,
-    trim,
 )
+from redip.guards import Guard
+from redip.lang import Program
 from redip.oracle import enumerate_paths
+from redip.pga import trim
 
 WEIGHTS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]
 PROBS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(9, 10)]

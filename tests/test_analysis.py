@@ -8,28 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redip import (
-    INF,
     Edge,
-    InfiniteMass,
-    InvalidAutomaton,
-    InvalidParameter,
     LessThan,
-    UnknownVariable,
-    ZeroMass,
     build_guard_dfa,
     coefficient,
     coefficient_table,
     guard_mass,
     make_pga,
     mass,
-    normalize,
     parse_guard,
     product,
-    trim,
-    validate_pga,
 )
-from redip.analysis import _useful_system
+from redip.analysis import _useful_system, normalize, validate_pga
+from redip.errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable, ZeroMass
 from redip.linsolve import strongly_connected_components
+from redip.pga import trim
+from redip.rational import INF
 
 from conftest import rand_guard, rand_pga, series_of
 

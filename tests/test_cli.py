@@ -5,7 +5,7 @@ import json
 import pytest
 
 from redip import pga_from_json, pga_to_json, make_pga, Edge, infer, parse_program
-from redip import RedipSyntaxError
+from redip.errors import RedipSyntaxError
 from redip.cli import main
 
 from fractions import Fraction
@@ -376,3 +376,50 @@ def test_six_hundred_nested_ifs_are_a_syntax_error(tmp_path, capsys):
     path.write_text(nested("if", 600))
     assert main(["parse", str(path)]) == 1
     assert "syntax error:" in capsys.readouterr().err
+
+
+# ----- the command line itself
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    return caught.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["infer", "PROGRAM", "--upto", "abc"], ["infer", "--bogus"], ["no-such-command"], []],
+)
+def test_usage_errors_exit_1_not_the_infeasible_code(program, capsys, argv):
+    assert exit_code([program if a == "PROGRAM" else a for a in argv]) == 1
+    assert "usage: redip" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["infer", "--help"], ["oracle", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert exit_code(argv) == 0
+    assert "usage: redip" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", ["--json"]),
+        ("export-dot", ["--json"]),
+        ("oracle", ["--json"]),
+        ("parse", ["--digits", "3"]),
+        ("check", ["--digits", "3"]),
+        ("export-dot", ["--digits", "3"]),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(program, capsys, command, flag):
+    assert exit_code([command, program, *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_output_flags_reach_the_subcommands_that_read_them(program, capsys):
+    assert main(["infer", program, "--digits", "2"]) == 0
+    assert "normalizing constant: 11/40 (= 0.28)" in capsys.readouterr().out
+    assert main(["oracle", program, "--digits", "2", "--trunc", "3"]) == 0
+    assert "violation mass: 29/40 (= 0.72)" in capsys.readouterr().out

@@ -14,11 +14,8 @@ import pytest
 from redip import (
     Bernoulli,
     Edge,
-    InvalidAutomaton,
     LessThan,
     Not,
-    UnknownVariable,
-    is_finite,
     build_dist_pga,
     build_guard_dfa,
     coefficient,
@@ -31,9 +28,11 @@ from redip import (
     mass,
     product,
     transition_subst,
-    trim,
     weighted_union,
 )
+from redip.errors import InvalidAutomaton, UnknownVariable
+from redip.pga import trim
+from redip.rational import is_finite
 
 from conftest import rand_guard, rand_pga, rand_useful_pga, series_of
 
@@ -221,7 +220,7 @@ def test_subst_iid_instance():
 
 
 def test_subst_with_unit_gadget_erases_the_label():
-    from redip import unit_pga
+    from redip.pga import unit_pga
 
     a = two_point_prior()
     out = transition_subst(a, "y", unit_pga(ALPHA))

@@ -8,22 +8,20 @@ from redip import (
     Bernoulli,
     Binomial,
     Custom,
-    CustomMassNotOne,
-    CustomNotNormalized,
     Dirac,
     Edge,
     Geometric,
-    InvalidParameter,
     NegBinomial,
     Uniform,
     build_dist_pga,
     coefficient_table,
-    dist_pmf,
     make_pga,
     mass,
     save_pga,
-    unit_pga,
 )
+from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter
+from redip.oracle import dist_pmf
+from redip.pga import unit_pga
 
 H = Fraction(1, 2)
 

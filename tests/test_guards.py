@@ -12,18 +12,25 @@ from hypothesis import given, settings, strategies as st
 
 from redip import (
     And,
-    GuardConstraintError,
     LessThan,
     ModEq,
     Not,
     build_guard_dfa,
-    equality_guard,
-    guard_negate,
     guard_satisfies,
     guard_size,
-    guard_vars,
 )
-from redip.guards import dfa_accepts, dfa_complement, dfa_less_than, dfa_mod, dfa_product, parikh
+from redip.errors import GuardConstraintError, UnknownVariable
+from redip.guards import (
+    dfa_accepts,
+    dfa_complement,
+    dfa_less_than,
+    dfa_mod,
+    dfa_product,
+    equality_guard,
+    guard_negate,
+    guard_vars,
+    parikh,
+)
 
 from conftest import rand_guard
 
@@ -193,7 +200,5 @@ def test_equality_guard_rejects_negative():
 
 
 def test_build_guard_dfa_requires_known_vars():
-    from redip import UnknownVariable
-
     with pytest.raises(UnknownVariable):
         build_guard_dfa(LessThan("z", 1), ALPHA)

@@ -26,22 +26,23 @@ from redip import (
     NegBinomial,
     Not,
     Observe,
-    ProbabilityRangeError,
-    RedipSyntaxError,
     Seq,
     SetZero,
     Uniform,
-    UnknownVariable,
-    dist_to_text,
-    guard_to_text,
     parse_guard,
     parse_program,
-    parse_valuation,
     program_size,
+)
+from redip.errors import ProbabilityRangeError, RedipSyntaxError, UnknownVariable
+from redip.lang import (
+    dist_to_text,
+    guard_to_text,
+    parse_valuation,
     program_to_text,
     program_vars,
+    seq_all,
+    tokenize,
 )
-from redip.lang import seq_all, tokenize
 
 H = Fraction(1, 2)
 

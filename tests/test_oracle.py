@@ -14,26 +14,26 @@ from redip import (
     Binomial,
     Edge,
     Geometric,
-    UnsupportedIid,
     compare,
-    dist_pmf,
     enumerate_program,
     make_pga,
-    mc_sample,
     parse_program,
     save_pga,
-    trim,
 )
+from redip.errors import InvalidAutomaton, UnsupportedIid
 from redip.lang import Observe
 from redip.oracle import (
     Running,
     Terminated,
     Violation,
     _PmfTable,
+    dist_pmf,
     enumerate_paths,
+    mc_sample,
     prior_support,
     step,
 )
+from redip.pga import trim
 
 from conftest import rand_pga
 
@@ -194,8 +194,6 @@ def test_prior_support_of_two_point_prior():
 
 
 def test_prior_support_refuses_loops():
-    from redip import InvalidAutomaton
-
     loop = make_pga(("x",), 1, [Edge(0, 0, H, "x")], {0: ONE}, {0: H})
     with pytest.raises(InvalidAutomaton):
         prior_support(loop)

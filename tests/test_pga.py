@@ -9,14 +9,11 @@ from hypothesis import given, strategies as st
 
 from redip import (
     Edge,
-    InvalidAutomaton,
-    InvalidWeight,
     make_pga,
-    trim,
-    unit_pga,
 )
 from redip.analysis import coefficient_table, mass
-from redip.pga import contract, extend_alphabet, is_acyclic, rename_variable
+from redip.errors import InvalidAutomaton, InvalidWeight
+from redip.pga import contract, extend_alphabet, is_acyclic, rename_variable, trim, unit_pga
 from redip.rational import is_finite
 
 from conftest import rand_pga, series_of

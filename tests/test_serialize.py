@@ -8,15 +8,14 @@ import pytest
 
 from redip import (
     Edge,
-    PgaParseError,
     load_pga,
     make_pga,
     pga_from_json,
-    pga_to_dot,
     pga_to_json,
     save_pga,
 )
-from redip.serialize import pga_from_dict, pga_to_dict
+from redip.errors import PgaParseError
+from redip.serialize import pga_from_dict, pga_to_dict, pga_to_dot
 
 from conftest import rand_pga
 

@@ -8,11 +8,8 @@ from redip import (
     Binomial,
     Edge,
     InfeasibleObservation,
-    InvalidAutomaton,
-    InvalidParameter,
     coefficient,
     coefficient_table,
-    dist_pmf,
     guard_mass,
     infer,
     make_pga,
@@ -23,6 +20,8 @@ from redip import (
     translate,
     working_alphabet,
 )
+from redip.errors import InvalidAutomaton, InvalidParameter
+from redip.oracle import dist_pmf
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
