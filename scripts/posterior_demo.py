@@ -24,13 +24,13 @@ def frac(q: Fraction) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("program", type=Path, help="a .redip source file")
-    ap.add_argument("--prior", type=Path, help="automaton JSON for the prior")
+    ap.add_argument("--prior", help="automaton JSON file for the prior")
     ap.add_argument("--upto", type=int, default=8, help="marginal table bound")
     ap.add_argument("--no-steps", action="store_true", help="skip the step table")
     args = ap.parse_args()
 
     p = parse_program(args.program.read_text())
-    prior = load_pga(args.prior.read_text()) if args.prior else None
+    prior = load_pga(args.prior) if args.prior else None
     res = infer(p, prior=prior)
 
     print("program")

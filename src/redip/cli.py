@@ -19,6 +19,7 @@ from typing import Any, Callable, NoReturn, Optional
 from .analysis import validate_pga
 from .errors import (
     InfeasibleObservation,
+    InvalidParameter,
     PgaParseError,
     RedipError,
     RedipSyntaxError,
@@ -206,6 +207,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 4
 
     if args.mode == "mc":
+        if args.limit < 0:  # a negative slice bound would drop rows from the end
+            raise InvalidParameter(f"row limit must be nonnegative, got {args.limit}")
         report = mc_sample(p, samples=args.samples, seed=args.seed)
         print(f"samples: {report.samples}, accepted: {report.accepted}, "
               f"violations: {report.violations}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidAutomaton, InvalidWeight
 from .linsolve import closure, strongly_connected_components
@@ -23,8 +23,7 @@ from .linsolve import closure, strongly_connected_components
 Symbol = Optional[str]  # None marks an unlabeled (epsilon) edge
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     weight: Fraction
@@ -57,26 +56,27 @@ class Pga:
 
 
 def _as_fraction(value: Union[int, Fraction], what: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InvalidWeight(f"{what} must be a rational, got {type(value).__name__}")
-    f = Fraction(value)
-    if f < 0:
-        raise InvalidWeight(f"{what} must be nonnegative, got {f}")
-    return f
+    if type(value) is not Fraction:  # a Fraction is checked, not rebuilt
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise InvalidWeight(f"{what} must be a rational, got {type(value).__name__}")
+        value = Fraction(value)
+    if value < 0:
+        raise InvalidWeight(f"{what} must be nonnegative, got {value}")
+    return value
 
 
 def make_pga(
     alphabet: Sequence[str],
     num_states: int,
-    edges: Iterable[Union[Edge, tuple]],
+    edges: Iterable[tuple[int, int, Union[int, Fraction], Symbol]],
     initial: Mapping[int, Union[int, Fraction]],
     final: Mapping[int, Union[int, Fraction]],
 ) -> Pga:
     """Canonicalizing constructor.
 
-    Edges may be Edge instances or (src, dst, weight, symbol) tuples; symbol
-    may be omitted for unlabeled edges. Duplicate (src, dst, symbol) triples
-    are merged by summing their weights, and zero weights are dropped.
+    Each edge is a (src, dst, weight, symbol) tuple, such as an Edge; symbol
+    None marks an unlabeled edge. Duplicate (src, dst, symbol) triples are
+    merged by summing their weights, and zero weights are dropped.
     """
     alpha = tuple(alphabet)
     if len(set(alpha)) != len(alpha):
@@ -87,51 +87,39 @@ def make_pga(
     if num_states < 1:
         raise InvalidAutomaton("an automaton needs at least one state")
 
-    merged: dict[tuple[int, int, Symbol], Fraction] = {}
+    def check_states(what: str, *states: int) -> None:
+        for q in states:
+            if not 0 <= q < num_states:
+                raise InvalidAutomaton(
+                    f"{what} references state {q} of a {num_states}-state automaton"
+                )
+
+    # keyed in canonical order: the empty string sorts unlabeled edges first
+    merged: dict[tuple[int, int, str], Fraction] = {}
     for item in edges:
-        if isinstance(item, Edge):
-            src, dst, weight, symbol = item.src, item.dst, item.weight, item.symbol
-        else:
-            if len(item) == 3:
-                src, dst, weight = item
-                symbol = None
-            else:
-                src, dst, weight, symbol = item
-        if not (0 <= src < num_states and 0 <= dst < num_states):
-            bad = dst if 0 <= src < num_states else src
-            raise InvalidAutomaton(
-                f"edge ({src},{dst}) references state {bad} of a {num_states}-state automaton"
-            )
+        try:
+            src, dst, weight, symbol = item
+        except (TypeError, ValueError):
+            raise InvalidAutomaton(f"edge {item!r} is not (src, dst, weight, symbol)") from None
+        check_states(f"edge ({src},{dst})", src, dst)
+        # a tuple, not a set: an unhashable symbol read from JSON must fail here
         if symbol is not None and symbol not in alpha:
             raise InvalidAutomaton(f"edge symbol {symbol!r} not in alphabet {alpha}")
         w = _as_fraction(weight, "edge weight")
-        key = (src, dst, symbol)
-        merged[key] = merged.get(key, Fraction(0)) + w
-
-    cleaned = tuple(
-        Edge(src, dst, w, sym)
-        for (src, dst, sym), w in sorted(
-            merged.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or "")
-        )
-        if w != 0
-    )
+        key = (src, dst, symbol or "")
+        merged[key] = merged[key] + w if key in merged else w
 
     def clean_weights(m: Mapping[int, Union[int, Fraction]], what: str) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for q in sorted(m):
-            if not (0 <= q < num_states):
-                raise InvalidAutomaton(
-                    f"{what} references state {q} of a {num_states}-state automaton"
-                )
-            w = _as_fraction(m[q], f"{what} weight")
-            if w != 0:
-                out[q] = w
-        return out
+            check_states(what, q)
+            out[q] = _as_fraction(m[q], f"{what} weight")
+        return {q: w for q, w in out.items() if w}
 
     return Pga(
         alphabet=alpha,
         num_states=num_states,
-        edges=cleaned,
+        edges=tuple(Edge(p, q, w, s or None) for (p, q, s), w in sorted(merged.items()) if w),
         initial=clean_weights(initial, "initial"),
         final=clean_weights(final, "final"),
     )
@@ -150,9 +138,7 @@ def rename_variable(a: Pga, old: str, new: str) -> Pga:
     if new in a.alphabet and new != old:
         raise InvalidAutomaton(f"{new!r} already in alphabet {a.alphabet}")
     alpha = tuple(new if v == old else v for v in a.alphabet)
-    edges = [
-        Edge(e.src, e.dst, e.weight, new if e.symbol == old else e.symbol) for e in a.edges
-    ]
+    edges = [e._replace(symbol=new) if e.symbol == old else e for e in a.edges]
     return make_pga(alpha, a.num_states, edges, a.initial, a.final)
 
 
@@ -188,11 +174,7 @@ def trim(a: Pga) -> Pga:
     if not useful:
         return make_pga(a.alphabet, 1, [], {0: 1}, {})
     index = {q: i for i, q in enumerate(useful)}
-    edges = [
-        Edge(index[e.src], index[e.dst], e.weight, e.symbol)
-        for e in a.edges
-        if e.src in index and e.dst in index
-    ]
+    edges = [(index[p], index[q], w, s) for p, q, w, s in a.edges if p in index and q in index]
     initial = {index[q]: w for q, w in a.initial.items() if q in index}
     final = {index[q]: w for q, w in a.final.items() if q in index}
     return make_pga(a.alphabet, len(useful), edges, initial, final)

@@ -167,6 +167,15 @@ def test_query_bad_alphabet_file_exit_code(tmp_path, capsys, alphabet):
     assert "file error" in capsys.readouterr().err
 
 
+def test_query_file_with_unhashable_symbol_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    edge = {"src": 0, "dst": 0, "weight": "1/2", "symbol": ["x"]}
+    data = {"alphabet": ["x"], "states": 1, "edges": [edge], "initial": {"0": "1"}, "final": {}}
+    path.write_text(json.dumps(data))
+    assert main(["query", str(path), "--guard", "x < 1"]) == 3
+    assert "file error: edge symbol ['x'] not in alphabet" in capsys.readouterr().err
+
+
 # a number one digit past int()'s default limit of 4,300 digits
 LONG = "1" * 5001
 
@@ -307,6 +316,7 @@ def test_reads_program_from_stdin(capsys, monkeypatch):
     "flags",
     [
         ["--mode", "mc", "--samples", "-5"],
+        ["--mode", "mc", "--limit", "-1"],
         ["--mode", "enumerate", "--trunc", "-1"],
         ["--mode", "compare", "--trunc", "-1"],
     ],

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from redip.analysis import mass
@@ -237,7 +237,7 @@ def test_singular_cycle_below_a_singleton_prefix_diverges():
     m_rows = [{1: F(1, 2)}, {2: F(1, 2)}, {3: F(1)}, {2: F(1)}]
     f = [F(0), F(0), F(0), F(1)]
     assert least_solution_elimination(4, m_rows, f) is None
-    edges = [(0, 1, F(1, 2), "x"), (1, 2, F(1, 2)), (2, 3, F(1)), (3, 2, F(1), "x")]
+    edges = [(0, 1, F(1, 2), "x"), (1, 2, F(1, 2), None), (2, 3, F(1), None), (3, 2, F(1), "x")]
     a = make_pga(("x",), 4, edges, {0: F(1)}, {3: F(1)})
     assert mass(a) is INF
 
@@ -262,16 +262,25 @@ def _dense_solve(n, rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
-@given(st.integers(min_value=0, max_value=10**9))
-def test_sparse_solve_equals_the_dense_reference(seed):
-    """(I - M) x = b on block-triangular systems, whose cyclic blocks record
-    elimination ops, against one or two nonzero entries of b at a time: the
-    sparse back-substitution gives exactly the dense solution."""
-    rng = random.Random(seed)
+def _identity_minus(rng):
+    """I - M for a random block-triangular M, as sparse rows."""
     n, m_rows, _, _ = _block_triangular_system(rng)
     rows = [{c: -v for c, v in r.items()} for r in m_rows]
     for i, row in enumerate(rows):
         row[i] = row.get(i, F(0)) + 1
+    return n, rows
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@example(448)
+@example(34631)
+def test_sparse_solve_equals_the_dense_reference(seed):
+    """(I - M) x = b on block-triangular systems against one or two nonzero
+    entries of b at a time: the sparse back-substitution gives exactly the
+    dense solution. Seeds 448 and 34631 pivot every cyclic block without an
+    elimination op: a weight-1 self-loop zeroes a diagonal entry of I - M."""
+    rng = random.Random(seed)
+    n, rows = _identity_minus(rng)
     rhss = []
     for _ in range(3):
         rhs = [F(0)] * n
@@ -284,11 +293,22 @@ def test_sparse_solve_equals_the_dense_reference(seed):
             FactoredSystem(n, rows).solve(rhss[0])
         return
     fs = FactoredSystem(n, rows)
-    assert fs.ops
     for rhs, x in zip(rhss, expected):
         solution = fs.solve(rhs)
         assert solution == x
         assert all(type(v) is F for v in solution)
+
+
+def test_block_triangular_systems_mostly_record_elimination_ops():
+    """The systems above exercise the recorded ops: of seeds 0-199, 181
+    factor with elimination ops and the other 19 are singular."""
+    with_ops = 0
+    for seed in range(200):
+        try:
+            with_ops += bool(FactoredSystem(*_identity_minus(random.Random(seed))).ops)
+        except SingularSystem:
+            pass
+    assert with_ops >= 150
 
 
 def test_chain_level_solves_divide_nothing(monkeypatch):

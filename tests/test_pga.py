@@ -124,6 +124,43 @@ def test_make_pga_rejects_bad_states_and_symbols():
         make_pga(("x", "x"), 1, [], {0: Fraction(1)}, {0: Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "item",
+    [(0, 0, H), (0, 0, H, "x", 1), (0, 0), 5, None],
+    ids=["3-tuple", "5-tuple", "2-tuple", "int", "none"],
+)
+def test_make_pga_rejects_edges_that_are_not_four_items(item):
+    with pytest.raises(InvalidAutomaton, match="is not \\(src, dst, weight, symbol\\)"):
+        make_pga(("x",), 1, [item], {0: Fraction(1)}, {0: Fraction(1)})
+
+
+def test_edge_defaults_to_unlabeled_and_is_a_tuple():
+    assert Edge(0, 1, H) == (0, 1, H, None)
+    assert Edge(0, 1, H).symbol is None
+    a = make_pga(("x",), 2, [Edge(0, 1, H), (0, 1, H, None)], {0: 1}, {1: 1})
+    assert a.edges == (Edge(0, 1, Fraction(1), None),)
+
+
+def test_make_pga_builds_no_fraction_from_fraction_weights(monkeypatch):
+    """Weights that are already Fractions are checked, not rebuilt, and
+    edges that do not repeat are not summed."""
+    edges = [Edge(q, q + 1, Fraction(1, q + 2), "x") for q in range(1000)]
+    initial, final = {0: Fraction(1)}, {1000: Fraction(1)}
+    new = Fraction.__new__
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    a = make_pga(("x",), 1001, reversed(edges), initial, final)
+    monkeypatch.undo()
+    assert built == []
+    assert a.edges == tuple(edges)
+    assert all(e.weight is f.weight for e, f in zip(a.edges, edges))
+
+
 def test_unit_pga():
     a = unit_pga(("x", "y"))
     assert a.num_states == 1
