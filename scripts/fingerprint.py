@@ -11,8 +11,10 @@ coefficient at the all-zero valuation), and a SHA-256 prefix of the
 coefficient table with every posterior variable's count up to 3, the one
 answer that takes the multi-variable level path. The corpus is the benchmark's
 small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
-m=18, and a few programs heavy in syntactic sugar. The output does not
-depend on PYTHONHASHSEED. Run it once per tree and compare:
+m=18, a few programs heavy in syntactic sugar, and a few programs inferred
+from a prior automaton, one of whose priors has a dead and an unreachable
+state. The output does not depend on PYTHONHASHSEED. Run it once per tree
+and compare:
 
     PYTHONPATH=<tree>/src python3 scripts/fingerprint.py --seeds 3 4 > <tree>.txt
     diff parent.txt change.txt
@@ -44,6 +46,7 @@ from redip import (  # noqa: E402
     coefficient_table,
     guard_mass,
     infer,
+    load_pga,
     marginal,
     parse_guard,
     parse_program,
@@ -59,6 +62,51 @@ DIE = {
     "initial": {"0": "1"},
     "final": {"0": "1/2", "1": "1"},
 }
+
+# prior automata, written next to DIE
+PRIORS = {
+    # 1/2 + 1/2 * Y^2 over (x, y)
+    "two-atom.json": {
+        "alphabet": ["x", "y"],
+        "states": 3,
+        "edges": [
+            {"src": 0, "dst": 1, "weight": "1/2", "symbol": "y"},
+            {"src": 1, "dst": 2, "weight": "1", "symbol": "y"},
+        ],
+        "initial": {"0": "1"},
+        "final": {"0": "1/2", "2": "1"},
+    },
+    # mass 3/4 from states 0 and 1; state 2 is dead and loops with weight one,
+    # state 3 is unreachable
+    "dead.json": {
+        "alphabet": ["x"],
+        "states": 4,
+        "edges": [
+            {"src": 0, "dst": 1, "weight": "1/2", "symbol": "x"},
+            {"src": 0, "dst": 2, "weight": "1/4"},
+            {"src": 2, "dst": 2, "weight": "1", "symbol": "x"},
+            {"src": 3, "dst": 1, "weight": "1", "symbol": "x"},
+        ],
+        "initial": {"0": "1"},
+        "final": {"0": "1/4", "1": "1"},
+    },
+    # geometric(1/2) in z, a variable no program below mentions
+    "geo.json": {
+        "alphabet": ["z"],
+        "states": 1,
+        "edges": [{"src": 0, "dst": 0, "weight": "1/2", "symbol": "z"}],
+        "initial": {"0": "1"},
+        "final": {"0": "1/2"},
+    },
+}
+
+# (prior file, program): the prior carries the state the program starts from
+PRIORED = (
+    ("two-atom.json", "{ x += y } [1/2] { skip }; observe(x == 0)"),
+    ("two-atom.json", "x += geometric(1/2); if (y == 2) { x += 1 } else { skip }; observe(x < 4)"),
+    ("dead.json", "x += bernoulli(1/3); observe(x < 2)"),
+    ("geo.json", "x += binomial(3, 1/2); y += z; observe(y % 2 == 0 or x == 0)"),
+)
 
 SUGAR = (
     "skip; x += 2; observe(true); y := x + 1; observe(not false)",
@@ -86,12 +134,13 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def fingerprint(case: workloads.Case, answers_only: bool = False) -> str:
+def fingerprint(case: workloads.Case, answers_only: bool = False, prior: str = "") -> str:
+    """The line's columns; `prior` names the prior's file, if any."""
     text = "-"
     try:
         p = parse_program(case.source)
         text = digest(program_to_text(p))
-        result = infer(p)
+        result = infer(p, load_pga(prior) if prior else None)
         posterior = result.posterior
         answers = [
             guard_mass(posterior, parse_guard(q.guard, posterior.alphabet))
@@ -126,12 +175,14 @@ def main() -> int:
         "--answers-only", action="store_true", help="leave out the posterior and step hashes"
     )
     args = ap.parse_args()
-    cases = corpus(args.seeds)
+    runs = [(case, "") for case in corpus(args.seeds)]
+    runs += [(workloads.Case(f"prior-{i}", src, ()), f) for i, (f, src) in enumerate(PRIORED)]
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "die.json").write_text(json.dumps(DIE), encoding="utf-8")
+        for name, doc in {"die.json": DIE, **PRIORS}.items():
+            Path(tmp, name).write_text(json.dumps(doc), encoding="utf-8")
         os.chdir(tmp)  # the sugar programs name the custom file by a relative path
-        for i, case in enumerate(cases):
-            print(f"{i} {case.name} {fingerprint(case, args.answers_only)}")
+        for i, (case, prior) in enumerate(runs):
+            print(f"{i} {case.name} {fingerprint(case, args.answers_only, prior)}")
     return 0
 
 

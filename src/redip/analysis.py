@@ -5,17 +5,16 @@ labels leaves a monotone linear system B = M B + F whose least nonnegative
 solution gives, per state, the total weight of runs from that state to
 acceptance; the mass is the initial-weight combination of that vector.
 
-Given a guard DFA, `mass` counts only the runs the guard accepts: it walks
-the pairs (state, DFA state) reached from the start and keeps those that
-reach an accepting pair, which is the trimmed product with the guard's
-counting automaton, without ever building the product.
-
-`mass` always solves the trimmed system, on which exact Gaussian elimination
-on (I - M) B = F is conclusive: any nonnegative solution bounds every partial
-sum of the series, so a nonsingular system with a nonnegative solution gives
-the least one, and a singular system or a negative component certifies
-divergence. The exact simplex (`method="lp"`) is not a production route; it
-is kept only to cross-check elimination.
+`mass` always solves over useful states only: those of `trim(a)`, or, given
+a guard DFA, the pairs (state, DFA state) reached from the start that reach
+an accepting pair, which are the states of the trimmed product with the
+guard's counting automaton, walked without ever building the product. On
+such a system exact Gaussian elimination on (I - M) B = F is conclusive: any
+nonnegative solution bounds every partial sum of the series, so a nonsingular
+system with a nonnegative solution gives the least one, and a singular system
+or a negative component certifies divergence. The exact simplex
+(`method="lp"`) is not a production route; it is kept only to cross-check
+elimination.
 """
 
 from __future__ import annotations
@@ -24,37 +23,42 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from . import linsolve
 from .errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
-from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem
+from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem, simplex_min
 from .pga import Pga, closure, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 
-def _useful_system(
-    a: Pga, dfa: Optional[GuardDfa]
-) -> tuple[list[dict[int, Fraction]], list[Fraction], dict[int, Fraction]]:
-    """Rows of M (labels dropped, parallel edges summed), the vector F and the
-    initial weights, over the useful pairs (q, s) of automaton and DFA states.
+def _identity_minus(n: int, arcs: Iterable[tuple[int, int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Rows of I - M for the arcs (src, dst, weight) of an n-state system:
+    labels dropped, parallel arcs summed, 1 on the diagonal."""
+    rows = [{i: ONE} for i in range(n)]
+    for src, dst, w in arcs:
+        row = rows[src]
+        row[dst] = row[dst] - w if dst in row else -w
+    return rows
 
-    Pair (q, s) is the integer q * k + s, with k = 1 and s = 0 when there is
-    no filter. A labeled edge advances s through the DFA, an unlabeled edge
-    keeps it; initial weight sits on (q, dfa.initial), final weight on
-    (q, accepting s). Useful pairs are reached from an initial pair and reach
-    a final one; they are numbered in increasing pair order, the state order
-    of `trim(product(a, dfa))`. Only the pairs reached are ever built.
+
+def _useful_pairs(
+    a: Pga, dfa: GuardDfa
+) -> tuple[int, list[tuple[int, int, Fraction]], dict[int, Fraction], dict[int, Fraction]]:
+    """Dimension, arcs, final and initial weights of the system of
+    `mass(a, dfa)`, over the useful pairs (q, s) of automaton and DFA states.
+
+    Pair (q, s) is the integer q * k + s. A labeled edge advances s through
+    the DFA, an unlabeled edge keeps it; initial weight sits on
+    (q, dfa.initial), final weight on (q, accepting s). Useful pairs are
+    reached from an initial pair and reach a final one; they are numbered in
+    increasing pair order, the state order of `trim(product(a, dfa))`. Only
+    the pairs reached are ever built.
     """
-    if dfa is None:  # no filter: the one-state guard that accepts everything
-        k, start, accepting = 1, 0, {0}
-        steps = {var: [0] for var in a.alphabet}
-    else:
-        if dfa.alphabet != a.alphabet:
-            raise InvalidAutomaton(f"alphabet mismatch {a.alphabet} vs {dfa.alphabet}")
-        k, start, accepting = dfa.num_states, dfa.initial, dfa.accepting
-        steps = {var: [dfa.delta[(s, var)] for s in range(k)] for var in a.alphabet}
+    if dfa.alphabet != a.alphabet:
+        raise InvalidAutomaton(f"alphabet mismatch {a.alphabet} vs {dfa.alphabet}")
+    k, start, accepting = dfa.num_states, dfa.initial, dfa.accepting
+    steps = {var: [dfa.delta[(s, var)] for s in range(k)] for var in a.alphabet}
     steps[None] = list(range(k))
     out: list[list[tuple[int, Fraction, list[int]]]] = [[] for _ in range(a.num_states)]
     for e in a.edges:
@@ -76,16 +80,11 @@ def _useful_system(
         for t in arcs[p]:
             pred[t].append(p)
     finals = [pair for q in a.final for s in accepting if (pair := q * k + s) in reach]
-    useful = sorted(closure(finals, pred.__getitem__))
-    index: Union[range, dict[int, int]] = range(len(reach))
-    if useful == list(index):  # every pair reached is useful and already numbered
-        rows = [arcs[p] for p in useful]
-    else:
-        index = {p: i for i, p in enumerate(useful)}
-        rows = [{index[t]: w for t, w in arcs[p].items() if t in index} for p in useful]
-    f = [a.final.get(p // k, ZERO) if p % k in accepting else ZERO for p in useful]
+    index = {p: i for i, p in enumerate(sorted(closure(finals, pred.__getitem__)))}
+    system = [(i, index[t], w) for p, i in index.items() for t, w in arcs[p].items() if t in index]
+    final = {index[p]: a.final[p // k] for p in finals if p in index}
     initial = {index[pair]: w for q, w in a.initial.items() if (pair := q * k + start) in index}
-    return rows, f, initial
+    return len(index), system, final, initial
 
 
 def mass(
@@ -103,20 +102,25 @@ def mass(
     """
     if method not in ("elimination", "lp"):
         raise ValueError(f"unknown method {method!r}")
-    rows, f, initial = _useful_system(a, dfa)
-    n = len(rows)
-    if not n:
-        return ZERO
-    if method == "lp":
-        a_rows = [
-            [(ONE if i == j else ZERO) - rows[i].get(j, ZERO) for j in range(n)] for i in range(n)
-        ]
-        costs = [initial.get(q, ZERO) for q in range(n)]
-        value = linsolve.simplex_min(costs, a_rows, f)
+    if dfa is None:
+        t = trim(a)
+        n, final, initial = t.num_states, t.final, t.initial
+        arcs: Iterable[tuple[int, int, Fraction]] = ((e.src, e.dst, e.weight) for e in t.edges)
     else:
-        sol = linsolve.least_solution_elimination(n, rows, f)
-        value = None if sol is None else sum((w * sol[q] for q, w in initial.items()), ZERO)
-    return INF if value is None else value
+        n, arcs, final, initial = _useful_pairs(a, dfa)
+    if not final:  # no useful state
+        return ZERO
+    rows = _identity_minus(n, arcs)
+    f = [final.get(q, ZERO) for q in range(n)]
+    if method == "lp":
+        dense = [[row.get(j, ZERO) for j in range(n)] for row in rows]
+        value = simplex_min([initial.get(q, ZERO) for q in range(n)], dense, f)
+        return INF if value is None else value
+    try:
+        sol = FactoredSystem(n, rows).solve(f)
+    except SingularSystem:
+        return INF
+    return INF if any(v < 0 for v in sol) else sum((w * sol[q] for q, w in initial.items()), ZERO)
 
 
 @dataclass(frozen=True)
@@ -181,18 +185,16 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     if not is_finite(table.total):
         raise InfiniteMass("coefficient table of a diverging automaton")
     n = t.num_states
-    a_rows: list[dict[int, Fraction]] = [{q: ONE} for q in range(n)]  # I - M_eps
     # labeled arcs by target, so a level reads only the previous level's nonzeros
     arcs_into: dict[str, list[list[tuple[int, Fraction]]]] = {
         var: [[] for _ in range(n)] for var in t.alphabet
     }
     for e in t.edges:
-        if e.symbol is None:
-            a_rows[e.src][e.dst] = a_rows[e.src].get(e.dst, ZERO) - e.weight
-        else:
+        if e.symbol is not None:
             arcs_into[e.symbol][e.dst].append((e.src, e.weight))
+    eps = [(e.src, e.dst, e.weight) for e in t.edges if e.symbol is None]
     try:
-        system = FactoredSystem(n, a_rows)
+        system = FactoredSystem(n, _identity_minus(n, eps))
     except SingularSystem as exc:  # impossible for finite mass, checked above
         raise InfiniteMass(f"unlabeled-edge structure diverges: {exc}") from exc
     f = [t.final.get(q, ZERO) for q in range(n)]

@@ -33,10 +33,11 @@ from .lang import (
     program_to_text,
     program_vars,
 )
-from .oracle import compare, enumerate_program, mc_sample
+from .oracle import compare, enumerate_program, mc_sample, prior_support
+from .pga import extend_alphabet
 from .rational import decimal_str, format_ext, format_weight
 from .serialize import load_pga, pga_to_dot, save_pga
-from .translate import coefficient, guard_mass, infer, marginal, translate
+from .translate import coefficient, guard_mass, infer, marginal, translate, working_alphabet
 
 
 def _read_text(path: str) -> str:
@@ -207,6 +208,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 4
 
     if args.mode == "mc":
+        if prior is not None:
+            raise InvalidParameter("mc sampling starts every run at zero and takes no --prior")
         if args.limit < 0:  # a negative slice bound would drop rows from the end
             raise InvalidParameter(f"row limit must be nonnegative, got {args.limit}")
         report = mc_sample(p, samples=args.samples, seed=args.seed)
@@ -218,7 +221,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(f"  {pairs}: {count} (~{count / max(report.accepted, 1):.{digits}f})")
         return 0
 
-    report = enumerate_program(p, truncation=args.trunc)
+    alphabet = working_alphabet(p, prior)
+    start = None if prior is None else prior_support(extend_alphabet(prior, alphabet))
+    report = enumerate_program(p, alphabet, args.trunc, start)
     print(f"truncation: {report.truncation}")
     for sigma in sorted(report.terminal):
         pairs = ", ".join(f"{v}={k}" for v, k in zip(report.alphabet, sigma))

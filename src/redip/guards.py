@@ -13,7 +13,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import GuardConstraintError, UnknownVariable
 
@@ -203,20 +203,3 @@ def _compile(g: Guard, alphabet: tuple[str, ...]) -> GuardDfa:
     if isinstance(g, Not):
         return dfa_complement(_compile(g.inner, alphabet))
     raise TypeError(f"not a guard: {g!r}")
-
-
-def dfa_accepts(d: GuardDfa, word: Iterable[str]) -> bool:
-    q = d.initial
-    for sym in word:
-        if sym not in d.alphabet:
-            raise UnknownVariable(f"{sym!r} not in alphabet {d.alphabet}")
-        q = d.delta[(q, sym)]
-    return q in d.accepting
-
-
-def parikh(word: Iterable[str]) -> dict[str, int]:
-    """Letter counts of a word, as a valuation."""
-    out: dict[str, int] = {}
-    for sym in word:
-        out[sym] = out.get(sym, 0) + 1
-    return out

@@ -1,11 +1,11 @@
 """Exact linear solvers over the rationals.
 
 The production route to the least nonnegative solution of B = M B + F is
-Gaussian elimination on (I - M) B = F (:func:`least_solution_elimination`,
-built on :class:`FactoredSystem`). On a trimmed system (every state reachable
-and co-reachable with positive weight) it is conclusive: a unique solution
-that is componentwise nonnegative is the least one, and a singular system or
-a negative component means the least solution diverges.
+Gaussian elimination on (I - M) B = F with :class:`FactoredSystem`
+(`analysis.mass`). On a trimmed system (every state reachable and
+co-reachable with positive weight) it is conclusive: a unique solution that
+is componentwise nonnegative is the least one, and a singular system or a
+negative component means the least solution diverges.
 
 :class:`FactoredSystem` pivots one strongly connected component of the row
 graph at a time, sources first (:func:`strongly_connected_components`). The
@@ -200,28 +200,6 @@ class FactoredSystem:
                 d = row[pivot_col]
                 x[pivot_col] = acc if d == 1 else acc / d
         return x
-
-
-def least_solution_elimination(
-    n: int, m_rows: list[dict[int, Fraction]], f: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve (I - M) B = F exactly.
-
-    Returns the solution vector when the system is nonsingular and the
-    solution is componentwise nonnegative; otherwise None (inconclusive for a
-    general system; divergence on a trimmed one).
-    """
-    a_rows = [{c: -v for c, v in row.items()} for row in m_rows]
-    for i, row in enumerate(a_rows):  # the factorization drops zero entries
-        row[i] = row.get(i, ZERO) + ONE
-    try:
-        fs = FactoredSystem(n, a_rows)
-        sol = fs.solve(list(f))
-    except SingularSystem:
-        return None
-    if any(v < 0 for v in sol):
-        return None
-    return sol
 
 
 def simplex_min(

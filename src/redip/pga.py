@@ -84,11 +84,15 @@ def make_pga(
     for v in alpha:
         if not v or not isinstance(v, str):
             raise InvalidAutomaton(f"bad alphabet variable {v!r}")
+    if isinstance(num_states, bool) or not isinstance(num_states, int):
+        raise InvalidAutomaton(f"state count {num_states!r} is not an integer")
     if num_states < 1:
         raise InvalidAutomaton("an automaton needs at least one state")
 
-    def check_states(what: str, *states: int) -> None:
+    def check_states(what: str, *states: object) -> None:
         for q in states:
+            if isinstance(q, bool) or not isinstance(q, int):
+                raise InvalidAutomaton(f"{what} names state {q!r}, which is not an integer")
             if not 0 <= q < num_states:
                 raise InvalidAutomaton(
                     f"{what} references state {q} of a {num_states}-state automaton"
@@ -101,7 +105,8 @@ def make_pga(
             src, dst, weight, symbol = item
         except (TypeError, ValueError):
             raise InvalidAutomaton(f"edge {item!r} is not (src, dst, weight, symbol)") from None
-        check_states(f"edge ({src},{dst})", src, dst)
+        if not (type(src) is type(dst) is int and 0 <= src < num_states and 0 <= dst < num_states):
+            check_states(f"edge ({src},{dst})", src, dst)  # the label costs; build it only here
         # a tuple, not a set: an unhashable symbol read from JSON must fail here
         if symbol is not None and symbol not in alpha:
             raise InvalidAutomaton(f"edge symbol {symbol!r} not in alphabet {alpha}")
@@ -110,10 +115,8 @@ def make_pga(
         merged[key] = merged[key] + w if key in merged else w
 
     def clean_weights(m: Mapping[int, Union[int, Fraction]], what: str) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for q in sorted(m):
-            check_states(what, q)
-            out[q] = _as_fraction(m[q], f"{what} weight")
+        check_states(what, *m)  # before sorting, which a key of another type breaks
+        out = {q: _as_fraction(m[q], f"{what} weight") for q in sorted(m)}
         return {q: w for q, w in out.items() if w}
 
     return Pga(

@@ -19,9 +19,10 @@ from redip import (
     parse_guard,
     product,
 )
-from redip.analysis import _useful_system, normalize, validate_pga
+from redip import analysis
+from redip.analysis import normalize, validate_pga
 from redip.errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable, ZeroMass
-from redip.linsolve import strongly_connected_components
+from redip.linsolve import FactoredSystem, strongly_connected_components
 from redip.pga import trim
 from redip.rational import INF
 
@@ -124,21 +125,53 @@ def test_filtered_mass_routes_agree():
             assert mass(a, dfa, method="lp") == mass(a, dfa)
 
 
-def test_filtered_system_is_the_trimmed_product_system():
-    """Same rows, final and initial weights, in the state order of
-    trim(product(a, dfa)), so the factorization sees the same matrix."""
+def identity_minus_rows(t):
+    """The reference I - M of an automaton, from its edges: labels dropped,
+    parallel edges summed."""
+    rows = [{q: ONE} for q in range(t.num_states)]
+    for e in t.edges:
+        rows[e.src][e.dst] = rows[e.src].get(e.dst, 0) - e.weight
+    return rows
+
+
+def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
+    """What the factorization sees: the rows of I - M and the final weights
+    of trim(a) for the plain mass, and of trim(product(a, dfa)) for the
+    filtered one, in their state order."""
+    seen = []
+
+    class Recording(FactoredSystem):
+        def __init__(self, n, rows):
+            seen.append([dict(row) for row in rows])
+            super().__init__(n, rows)
+
+        def solve(self, rhs):
+            seen.append(list(rhs))
+            return super().solve(rhs)
+
+    monkeypatch.setattr(analysis, "FactoredSystem", Recording)
     for a, dfa in guarded_cases(300, seed=7):
-        rows, f, initial = _useful_system(a, dfa)
-        t = trim(product(a, dfa))
-        if not t.final:
-            assert rows == []
-            continue
-        want_rows = [dict() for _ in range(t.num_states)]
-        for e in t.edges:
-            want_rows[e.src][e.dst] = want_rows[e.src].get(e.dst, 0) + e.weight
-        assert rows == want_rows
-        assert f == [t.final.get(q, 0) for q in range(t.num_states)]
-        assert initial == t.initial
+        for t, args in ((trim(a), (a,)), (trim(product(a, dfa)), (a, dfa))):
+            seen.clear()
+            mass(*args)
+            if not t.final:
+                assert seen == []
+                continue
+            assert seen[0] == identity_minus_rows(t)
+            # a singular system is never solved
+            assert seen[1:] in ([], [[t.final.get(q, 0) for q in range(t.num_states)]])
+
+
+def test_divergent_loops_off_the_useful_states_do_not_count():
+    """A weight-1 self-loop on an unreachable state (1) and on a state that
+    cannot reach a final state (2) leave the mass finite: the system is
+    trimmed before divergence is read, on every route."""
+    edges = [Edge(0, 0, H, "x"), Edge(1, 1, ONE, "x"), Edge(1, 0, H, "x")]
+    edges += [Edge(0, 2, H, None), Edge(2, 2, ONE, "x")]
+    a = make_pga(("x",), 3, edges, {0: ONE}, {0: H})
+    dfa = build_guard_dfa(parse_guard("x >= 0", a.alphabet), a.alphabet)
+    for args in ((a,), (a, dfa)):
+        assert mass(*args) == mass(*args, method="lp") == 1
 
 
 def test_filter_needs_the_automaton_alphabet():

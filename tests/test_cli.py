@@ -285,6 +285,26 @@ def test_oracle_compare_ok(program, capsys):
     assert "ok: translation agrees with enumeration" in out
 
 
+def test_oracle_enumerate_starts_from_the_prior(prior_file, tmp_path, capsys):
+    # the prior is 1/2 + 1/2 * Y^2 over (x, y); y appears only in the prior
+    p = tmp_path / "inc.redip"
+    p.write_text("x += 1\n")
+    assert main(["oracle", str(p), "--prior", prior_file]) == 0
+    out = capsys.readouterr().out
+    assert "  x=1, y=0: 1/2 (= 0.5)" in out
+    assert "  x=1, y=2: 1/2 (= 0.5)" in out
+    # the same distribution inference gives
+    assert main(["infer", str(p), "--prior", prior_file, "--query", "x == 1 and y == 2"]) == 0
+    assert "P(x == 1 and y == 2) = 1/2" in capsys.readouterr().out
+
+
+def test_oracle_mc_refuses_a_prior(prior_file, tmp_path, capsys):
+    p = tmp_path / "inc.redip"
+    p.write_text("x += 1\n")
+    assert main(["oracle", str(p), "--mode", "mc", "--prior", prior_file]) == 1
+    assert "takes no --prior" in capsys.readouterr().err
+
+
 def test_oracle_mc_deterministic(tmp_path, capsys):
     p = tmp_path / "iid.redip"
     p.write_text("y += 4; x += iid(bernoulli(1/2), y)\n")

@@ -21,15 +21,16 @@ def fingerprint_lines(*flags):
 
 def test_fingerprint_prints_one_line_per_program():
     lines = fingerprint_lines()
-    # 600 random programs and the 3 desk programs, 2 geo-chains, 2 dec-ladders, 8 sugar programs
-    assert len(lines) == 615
-    assert [int(line.split()[0]) for line in lines] == list(range(615))
+    # 600 random programs and the 3 desk programs, 2 geo-chains, 2 dec-ladders,
+    # 8 sugar programs, 4 programs with a prior
+    assert len(lines) == 619
+    assert [int(line.split()[0]) for line in lines] == list(range(619))
     assert all(" posterior=" in line or " error=" in line for line in lines)
 
 
 def test_answers_only_drops_the_automaton_columns():
     full, answers = fingerprint_lines(), fingerprint_lines("--answers-only")
-    assert len(answers) == len(full) == 615
+    assert len(answers) == len(full) == 619
     assert not any("posterior=" in line or "steps=" in line for line in answers)
     assert all(" z=" in line or " error=" in line for line in answers)
     # every other column is kept as it is

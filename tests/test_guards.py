@@ -6,6 +6,7 @@ the guard as a predicate on valuations.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from redip import (
 )
 from redip.errors import GuardConstraintError, UnknownVariable
 from redip.guards import (
-    dfa_accepts,
     dfa_complement,
     dfa_less_than,
     dfa_mod,
@@ -29,12 +29,25 @@ from redip.guards import (
     equality_guard,
     guard_negate,
     guard_vars,
-    parikh,
 )
 
 from conftest import rand_guard
 
 ALPHA = ("x", "y")
+
+
+def dfa_accepts(d, word):
+    """Run a word through the DFA from its initial state."""
+    q = d.initial
+    for sym in word:
+        q = d.delta[(q, sym)]
+    return q in d.accepting
+
+
+def parikh(word):
+    """Letter counts of a word, as a valuation."""
+    return dict(Counter(word))
+
 
 # words stay short: counts above any bound in play are reached anyway
 words = st.lists(st.sampled_from(ALPHA), max_size=12)

@@ -1,8 +1,10 @@
-"""Exact solvers: LU factorization, least-solution elimination, simplex.
+"""Exact solvers: LU factorization, the least solution of `B = M B + F`
+through `mass`, simplex.
 
-The two routes to `B = M B + F` are compared against each other here on
-random substochastic systems; automaton-level agreement is covered again in
-the acceptance suite.
+The two routes to `B = M B + F` (elimination and the simplex) are compared
+against each other here on random systems, each posed as the automaton with
+one unlabeled arc per entry of M; automaton-level agreement is covered again
+in the acceptance suite.
 """
 
 import random
@@ -16,7 +18,6 @@ from redip.analysis import mass
 from redip.linsolve import (
     FactoredSystem,
     SingularSystem,
-    least_solution_elimination,
     simplex_min,
     strongly_connected_components,
 )
@@ -47,23 +48,35 @@ def test_factored_system_singular():
         FactoredSystem(2, [{0: F(1)}, {}])
 
 
+def system_pga(m_rows, f, initial):
+    """The automaton whose mass system is B = M B + F: an unlabeled arc
+    i -> j of weight M[i][j], final weights F."""
+    edges = [(i, j, w, None) for i, row in enumerate(m_rows) for j, w in row.items()]
+    return make_pga((), len(m_rows), edges, initial, dict(enumerate(f)))
+
+
+def least_solution(m_rows, f):
+    """B, one mass per starting state."""
+    return [mass(system_pga(m_rows, f, {q: 1})) for q in range(len(m_rows))]
+
+
 def test_least_solution_simple_loop():
     # single state, self-loop 1/2, final 1: B = B/2 + 1 => B = 2
-    assert least_solution_elimination(1, [{0: F(1, 2)}], [F(1)]) == [F(2)]
+    assert least_solution([{0: F(1, 2)}], [F(1)]) == [F(2)]
 
 
 def test_least_solution_divergent_cases():
     # weight-1 loop: (I - M) singular
-    assert least_solution_elimination(1, [{0: F(1)}], [F(1)]) is None
+    assert least_solution([{0: F(1)}], [F(1)]) == [INF]
     # loop heavier than 1: unique solution exists but is negative
-    assert least_solution_elimination(1, [{0: F(2)}], [F(1)]) is None
+    assert least_solution([{0: F(2)}], [F(1)]) == [INF]
 
 
 def test_least_solution_chain():
     # two states: 0 -(1/2)-> 1, state 1 final 1, state 0 final 1/2
     m = [{1: F(1, 2)}, {}]
     f = [F(1, 2), F(1)]
-    assert least_solution_elimination(2, m, f) == [F(1), F(1)]
+    assert least_solution(m, f) == [F(1), F(1)]
 
 
 # ---------------------------------------------------------------- simplex
@@ -102,19 +115,11 @@ def test_simplex_negative_rhs_normalization():
 # ------------------------------------------------- dual-route agreement
 
 
-def _route_pair(n, m_rows, f, initial):
-    """(elimination value, lp value) for mass-style systems, None = divergent."""
-    sol = least_solution_elimination(n, m_rows, f)
-    elim = None if sol is None else sum(initial[q] * sol[q] for q in range(n))
-    a_rows = []
-    for i in range(n):
-        row = [F(0)] * n
-        for j, v in m_rows[i].items():
-            row[j] -= v
-        row[i] += 1
-        a_rows.append(row)
-    lp = simplex_min(initial, a_rows, f)
-    return elim, lp
+def _route_pair(m_rows, f, initial):
+    """(elimination value, lp value) of the mass of a system, None = divergent.
+    Both solve it over its useful states, as `mass` does."""
+    a = system_pga(m_rows, f, dict(enumerate(initial)))
+    return tuple(None if v is INF else v for v in (mass(a), mass(a, method="lp")))
 
 
 def test_routes_agree_on_substochastic_systems():
@@ -133,7 +138,7 @@ def test_routes_agree_on_substochastic_systems():
             m_rows.append(row)
         f = [F(rng.randint(0, 3), 4) for _ in range(n)]
         initial = [F(rng.randint(0, 2), 2) for _ in range(n)]
-        elim, lp = _route_pair(n, m_rows, f, initial)
+        elim, lp = _route_pair(m_rows, f, initial)
         assert elim is not None
         assert elim == lp
 
@@ -157,7 +162,7 @@ def test_routes_agree_including_divergence(seed):
         m_rows.append(row)
     f = [F(rng.randint(1, 3), 3) for _ in range(n)]
     initial = [F(1)] + [F(0)] * (n - 1)
-    elim, lp = _route_pair(n, m_rows, f, initial)
+    elim, lp = _route_pair(m_rows, f, initial)
     assert (elim is None) == (lp is None)
     if elim is not None:
         assert elim == lp
@@ -226,7 +231,7 @@ def test_block_triangular_systems_match_the_simplex(seed):
     """Elimination inside cyclic components, fill-in reaching later blocks:
     the value equals the simplex optimum, and None iff the LP is infeasible."""
     n, m_rows, f, initial = _block_triangular_system(random.Random(seed))
-    elim, lp = _route_pair(n, m_rows, f, initial)
+    elim, lp = _route_pair(m_rows, f, initial)
     assert (elim is None) == (lp is None)
     if elim is not None:
         assert elim == lp
@@ -236,7 +241,7 @@ def test_singular_cycle_below_a_singleton_prefix_diverges():
     # 0 -> 1 -> {2 <-> 3} with weight-1 edges on the cycle
     m_rows = [{1: F(1, 2)}, {2: F(1, 2)}, {3: F(1)}, {2: F(1)}]
     f = [F(0), F(0), F(0), F(1)]
-    assert least_solution_elimination(4, m_rows, f) is None
+    assert mass(system_pga(m_rows, f, {0: F(1)})) is INF
     edges = [(0, 1, F(1, 2), "x"), (1, 2, F(1, 2), None), (2, 3, F(1), None), (3, 2, F(1), "x")]
     a = make_pga(("x",), 4, edges, {0: F(1)}, {3: F(1)})
     assert mass(a) is INF

@@ -125,6 +125,24 @@ def test_make_pga_rejects_bad_states_and_symbols():
 
 
 @pytest.mark.parametrize(
+    "num_states, edges, initial",
+    [
+        (1, [("0", 0, 1, None)], {0: 1}),
+        ("2", [], {0: 1}),
+        (1, [(0.0, 0, 1, None)], {0: 1}),
+        (1, [], {0.5: 1}),
+        (2, [], {0: 1, "1": 1}),
+        (True, [], {0: 1}),
+    ],
+    ids=["str-edge-state", "str-state-count", "float-edge-state", "float-initial-state",
+         "mixed-initial-keys", "bool-state-count"],
+)
+def test_make_pga_accepts_only_integer_states(num_states, edges, initial):
+    with pytest.raises(InvalidAutomaton, match="not an integer"):
+        make_pga(("x",), num_states, edges, initial, {0: 1})
+
+
+@pytest.mark.parametrize(
     "item",
     [(0, 0, H), (0, 0, H, "x", 1), (0, 0), 5, None],
     ids=["3-tuple", "5-tuple", "2-tuple", "int", "none"],
