@@ -24,10 +24,10 @@ reserved names, what the parser reads and what `dist_to_text` prints.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .dists import (
     Bernoulli,
@@ -217,17 +217,22 @@ _DISTS: dict[str, tuple[type, tuple[str, ...]]] = {
 # further operand of one `and`/`or` chain (its tree is as deep as it is long)
 # adds a level, which keeps recursive walks far from Python's recursion limit
 _MAX_NESTING = 100
-_TWO_CHAR = {":=", "+=", "-=", "--", "<=", ">=", "==", "!="}
-_ONE_CHAR = set(";{}[](),%+*/<>")
-# names and numbers are ASCII only: `str.isalnum` and `str.isdigit` also take
-# superscripts and other scripts' letters and digits
-_DIGITS = frozenset("0123456789")
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# one alternative per token kind, tried in order; names and numbers are ASCII
+# only (`\w` and `\d` would also take other scripts' letters and digits)
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<NL>\n)
+    | (?P<SKIP>[ \t\r]+ | //[^\n]*)
+    | (?P<OP>:= | \+= | -= | -- | <= | >= | == | != | [;{}\[\](),%+*/<>])
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | "(?P<STRING>[^"\n]*)"
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, NUMBER, STRING, OP, KEYWORD, EOF
     text: str
     line: int
@@ -236,70 +241,25 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token("OP", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            toks.append(Token("NUMBER", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and source[j] in _NAME_CHARS:
-                j += 1
-            word = source[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise RedipSyntaxError("unterminated string", start_line, start_col)
-            toks.append(Token("STRING", source[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise RedipSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    pos, n = 0, len(source)
+    match = _TOKEN_RE.match
+    while pos < n:
+        m = match(source, pos)
+        if m is None:
+            ch = source[pos]
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise RedipSyntaxError(message, line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind != "SKIP":
+            text = m.group(kind)
+            if kind == "IDENT" and text in _KEYWORDS:
+                kind = "KEYWORD"
+            toks.append(Token(kind, text, line, pos - line_start + 1))
+        pos = m.end()
+    toks.append(Token("EOF", "", line, pos - line_start + 1))
     return toks
 
 
@@ -637,7 +597,7 @@ def parse_valuation(text: str) -> dict[str, int]:
         name, sep, value = part.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not name or not value or not _DIGITS.issuperset(value):
+        if not sep or not name or not value or not (value.isascii() and value.isdigit()):
             raise ValueError(f"malformed valuation entry {part!r} (want var=nat)")
         out[name] = int(value)
     if not out:

@@ -46,7 +46,7 @@ from .lang import (
     SetZero,
     program_vars,
 )
-from .pga import Edge, Pga, Symbol, is_acyclic, trim
+from .pga import Edge, Pga, trim
 from .rational import is_finite
 from .serialize import load_pga
 
@@ -417,57 +417,39 @@ class ComparisonResult:
     mismatches: list[str]
 
 
-@dataclass(frozen=True)
-class WeightedPath:
-    """An accepting run: initial weight * edge weights * final weight."""
-
-    states: tuple[int, ...]
-    symbols: tuple[Symbol, ...]
-    weight: Fraction
-    counts: tuple[int, ...]  # aligned with the automaton's alphabet
-
-
-def enumerate_paths(a: Pga, max_len: int) -> list[WeightedPath]:
-    """All accepting paths with at most `max_len` transitions.
-
-    Exponential in general; meant for desk-scale checking and for exact
-    support extraction from acyclic automata (where max_len = num_states - 1
-    covers everything).
-    """
-    idx = {v: i for i, v in enumerate(a.alphabet)}
-    out: list[WeightedPath] = []
-    by_src: dict[int, list[Edge]] = {}
-    for e in a.edges:
-        by_src.setdefault(e.src, []).append(e)
-
-    def walk(state: int, weight: Fraction, states: tuple, symbols: tuple, counts: tuple) -> None:
-        fw = a.final.get(state)
-        if fw:
-            out.append(WeightedPath(states, symbols, weight * fw, counts))
-        if len(symbols) >= max_len:
-            return
-        for e in by_src.get(state, ()):
-            nc = counts
-            if e.symbol is not None:
-                i = idx[e.symbol]
-                nc = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-            walk(e.dst, weight * e.weight, states + (e.dst,), symbols + (e.symbol,), nc)
-
-    zero = (0,) * len(a.alphabet)
-    for q in sorted(a.initial):
-        walk(q, a.initial[q], (q,), (), zero)
-    return out
-
-
 def prior_support(prior: Pga) -> list[tuple[Valuation, Fraction]]:
-    """Weighted support of an acyclic automaton, by path enumeration."""
+    """Weighted support of an acyclic automaton: each state's {valuation:
+    weight} map is pushed along its out-edges in topological order."""
     a = trim(prior)
-    if not is_acyclic(a):
-        raise InvalidAutomaton("prior support extraction needs an acyclic automaton")
+    idx = {v: i for i, v in enumerate(a.alphabet)}
+    succ: list[list[Edge]] = [[] for _ in range(a.num_states)]
+    indegree = [0] * a.num_states
+    for e in a.edges:
+        succ[e.src].append(e)
+        indegree[e.dst] += 1
+    zero = (0,) * len(a.alphabet)
+    at: list[dict[Valuation, Fraction]] = [{} for _ in range(a.num_states)]
+    for q, w in a.initial.items():
+        at[q][zero] = w
+    ready = [q for q in range(a.num_states) if indegree[q] == 0]
     support: dict[Valuation, Fraction] = {}
-    for path in enumerate_paths(a, max_len=max(a.num_states - 1, 0)):
-        key = path.counts
-        support[key] = support.get(key, Fraction(0)) + path.weight
+    for q in ready:  # grows while it is read: Kahn's algorithm
+        here = at[q]
+        if q in a.final:
+            for counts, w in here.items():
+                support[counts] = support.get(counts, Fraction(0)) + w * a.final[q]
+        for e in succ[q]:
+            there = at[e.dst]
+            for counts, w in here.items():
+                if e.symbol is not None:
+                    i = idx[e.symbol]
+                    counts = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                there[counts] = there.get(counts, Fraction(0)) + w * e.weight
+            indegree[e.dst] -= 1
+            if indegree[e.dst] == 0:
+                ready.append(e.dst)
+    if len(ready) < a.num_states:
+        raise InvalidAutomaton("prior support extraction needs an acyclic automaton")
     return sorted(support.items())
 
 

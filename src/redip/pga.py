@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidAutomaton, InvalidWeight
-from .linsolve import closure, strongly_connected_components
+from .linsolve import closure
 
 Symbol = Optional[str]  # None marks an unlabeled (epsilon) edge
 
@@ -228,14 +228,3 @@ def contract(a: Pga) -> Pga:
     edges = [(index[p], index[t], w, s) for p in index for (t, s), w in out[p].items()]
     ends = [{index[q]: w for q, w in m.items()} for m in (initial, final)]
     return make_pga(a.alphabet, len(index), edges, *ends)
-
-
-def is_acyclic(a: Pga) -> bool:
-    """True when the edge graph has no directed cycle: every strongly
-    connected component is a single state without a self-loop."""
-    succ: list[list[int]] = [[] for _ in range(a.num_states)]
-    for e in a.edges:
-        if e.src == e.dst:
-            return False
-        succ[e.src].append(e.dst)
-    return all(len(c) == 1 for c in strongly_connected_components(a.num_states, succ))

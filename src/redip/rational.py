@@ -15,7 +15,7 @@ from typing import Union
 
 from .errors import InvalidWeight
 
-_WEIGHT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_WEIGHT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 class Infinity:
@@ -46,11 +46,12 @@ def parse_weight(text: str) -> Fraction:
     """Parse a nonnegative rational from its canonical string form.
 
     Accepted forms are a decimal-free natural number ("3") or a ratio of two
-    naturals ("9/10"). Anything else (signs, floats, whitespace) is rejected.
+    naturals ("9/10"), in ASCII digits. Anything else (signs, floats,
+    whitespace, other scripts' digits) is rejected.
     """
     if not isinstance(text, str):
         raise InvalidWeight(f"weight must be a string, got {type(text).__name__}")
-    m = _WEIGHT_RE.match(text)
+    m = _WEIGHT_RE.fullmatch(text)
     if m is None:
         raise InvalidWeight(f"malformed weight {text!r} (expected 'n' or 'n/d')")
     try:

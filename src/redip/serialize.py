@@ -87,10 +87,12 @@ def pga_from_dict(data: Any) -> Pga:
             raise PgaParseError(f"{key} must be an object")
         out = {}
         for qs, ws in raw.items():
-            try:
-                q = int(qs)
-            except (TypeError, ValueError):
-                raise PgaParseError(f"{key}: state key {qs!r} is not an integer") from None
+            try:  # ASCII digits only: int() also takes " 1", "+1", "1_0" and other scripts
+                q = int(qs) if qs.isascii() and qs.isdigit() else None
+            except (AttributeError, ValueError):  # not a string, or past int()'s digit limit
+                q = None
+            if q is None:
+                raise PgaParseError(f"{key}: state key {qs!r} is not a natural number")
             try:
                 out[q] = parse_weight(ws)
             except InvalidWeight as exc:

@@ -36,7 +36,7 @@ from redip import (
 )
 from redip.guards import Guard
 from redip.lang import Program
-from redip.oracle import enumerate_paths
+from redip.oracle import prior_support
 from redip.pga import trim
 
 WEIGHTS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]
@@ -153,14 +153,8 @@ def rand_program(
     return build(size)
 
 
-def series_of(a: Pga, max_len: int | None = None) -> dict[tuple[int, ...], Fraction]:
+def series_of(a: Pga) -> dict[tuple[int, ...], Fraction]:
     """Full behavior of an acyclic automaton as {count tuple: coefficient},
-    by brute-force path enumeration. The independent oracle for constructions."""
-    t = trim(a)
-    if max_len is None:
-        max_len = max(t.num_states - 1, 0)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for path in enumerate_paths(t, max_len):
-        key = path.counts
-        out[key] = out.get(key, Fraction(0)) + path.weight
-    return {k: v for k, v in out.items() if v != 0}
+    by exact propagation along the edges, with no linear solve. The
+    independent oracle for constructions."""
+    return {k: v for k, v in prior_support(a) if v != 0}

@@ -33,7 +33,7 @@ from redip import (
     parse_program,
     program_size,
 )
-from redip.errors import ProbabilityRangeError, RedipSyntaxError, UnknownVariable
+from redip.errors import ProbabilityRangeError, RedipError, RedipSyntaxError, UnknownVariable
 from redip.lang import (
     dist_to_text,
     guard_to_text,
@@ -81,6 +81,55 @@ def test_only_ascii_digits_make_numbers(digit):
     with pytest.raises(RedipSyntaxError, match="unexpected character") as info:
         tokenize(f"x += {digit}")
     assert (info.value.line, info.value.column) == (1, 6)
+
+
+# whole tokens and their pieces, then what the language refuses
+PIECES = [
+    "x", "y", "z_1", " ", "\t", "\r", "\n", "//", ":=", "+=", "-=", "--", "<=", ">=", "==",
+    "!=", "<", ">", ";", "{", "}", "[", "]", "(", ")", ",", "%", "+", "*", "/", "0", "7",
+    "1/2", "0.25", "1" * 30, "if", "else", "observe", "skip", "iid", "true", "false", "and",
+    "or", "not", "geometric", "bernoulli", "dirac", "uniform", "binomial", "negbinomial",
+    "custom", '"s.json"',
+]
+REFUSED = ['"', "=", "!", ":", "-", ".", "$", "\u00e9", "\u00b2", "\u0663"]
+sources = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=40),
+    st.lists(st.sampled_from(PIECES + REFUSED), max_size=40),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources)
+def test_tokens_sit_at_their_positions(source):
+    lines = source.split("\n")
+    try:
+        toks = tokenize(source)
+    except RedipSyntaxError as e:
+        ch = lines[e.line - 1][e.column - 1]
+        want = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+        assert str(e) == f"{e.line}:{e.column}: {want}"
+        return
+    for t in toks[:-1]:
+        text = f'"{t.text}"' if t.kind == "STRING" else t.text
+        assert lines[t.line - 1].startswith(text, t.col - 1)
+    eof = toks[-1]
+    assert (eof.kind, eof.line, eof.col) == ("EOF", len(lines), len(lines[-1]) + 1)
+
+
+def test_eof_after_a_trailing_comment_is_one_past_the_line():
+    for source, col in (("x += // trailing", 17), ("x +=    ", 9)):
+        eof = tokenize(source)[-1]
+        assert (eof.kind, eof.line, eof.col) == ("EOF", 1, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources)
+def test_parsers_raise_only_redip_errors(source):
+    for parse in (parse_program, lambda text: parse_guard(text, ("x", "y"))):
+        try:
+            parse(source)
+        except RedipError:
+            pass
 
 
 # ----- statements

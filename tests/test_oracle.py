@@ -7,6 +7,7 @@ value from below.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from redip import (
     Binomial,
     Edge,
     Geometric,
+    build_dist_pga,
     compare,
     enumerate_program,
     make_pga,
@@ -28,14 +30,10 @@ from redip.oracle import (
     Violation,
     _PmfTable,
     dist_pmf,
-    enumerate_paths,
     mc_sample,
     prior_support,
     step,
 )
-from redip.pga import trim
-
-from conftest import rand_pga
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -193,6 +191,24 @@ def test_prior_support_of_two_point_prior():
     ]
 
 
+def test_prior_support_multiplies_endpoints_and_aligns_counts():
+    a = make_pga(
+        ("x", "y"),
+        3,
+        [Edge(0, 1, Fraction(1, 3), "y"), Edge(1, 2, Fraction(1), "y")],
+        {0: Fraction(1, 5)},
+        {1: Fraction(1, 2), 2: Fraction(1, 7)},
+    )
+    assert prior_support(a) == [((0, 1), Fraction(1, 30)), ((0, 2), Fraction(1, 105))]
+
+
+def test_prior_support_of_a_long_binomial_is_exact():
+    # one path per subset of the 40 trials: a path listing would never end
+    prior = build_dist_pga(Binomial(40, H), "x", ("x",))
+    assert prior_support(prior) == [((k,), Fraction(comb(40, k), 2**40)) for k in range(41)]
+    assert compare(parse_program("observe(x >= 20)"), prior=prior).ok
+
+
 def test_prior_support_refuses_loops():
     loop = make_pga(("x",), 1, [Edge(0, 0, H, "x")], {0: ONE}, {0: H})
     with pytest.raises(InvalidAutomaton):
@@ -302,58 +318,3 @@ def test_oracle_on_a_custom_distribution(tmp_path):
     assert abs(mc.estimate((1,)) - 2 / 3) < 0.02
 
 
-# ----- path enumeration
-
-
-def geometric_loop():
-    # (1/2) acceptance at state 0, (1/2) x-labeled self loop
-    return make_pga(("x",), 1, [Edge(0, 0, H, "x")], {0: ONE}, {0: H})
-
-
-def test_enumerate_paths_geometric_prefixes():
-    paths = enumerate_paths(geometric_loop(), max_len=3)
-    assert len(paths) == 4
-    by_len = {len(p.symbols): p for p in paths}
-    for k in range(4):
-        p = by_len[k]
-        assert p.weight == H ** (k + 1)
-        assert p.counts == (k,)
-        assert p.states == tuple([0] * (k + 1))
-
-
-def test_enumerate_paths_weight_includes_endpoints():
-    a = make_pga(
-        ("x",),
-        2,
-        [Edge(0, 1, Fraction(1, 3), "x")],
-        {0: Fraction(1, 5)},
-        {1: Fraction(1, 7)},
-    )
-    (p,) = enumerate_paths(a, max_len=5)
-    assert p.weight == Fraction(1, 105)
-    assert p.symbols == ("x",)
-
-
-def test_enumerate_paths_counts_align_to_alphabet():
-    a = make_pga(
-        ("x", "y"),
-        3,
-        [Edge(0, 1, Fraction(1), "y"), Edge(1, 2, Fraction(1), "y")],
-        {0: Fraction(1)},
-        {2: Fraction(1)},
-    )
-    (p,) = enumerate_paths(a, max_len=2)
-    assert p.counts == (0, 2)
-
-
-def test_enumerate_paths_complete_for_acyclic():
-    """On an acyclic automaton, max_len = num_states - 1 sees every path."""
-    import random
-
-    rng = random.Random(7)
-    for _ in range(30):
-        a = rand_pga(rng, acyclic=True)
-        t = trim(a)
-        long = enumerate_paths(t, max_len=t.num_states + 3)
-        short = enumerate_paths(t, max_len=max(t.num_states - 1, 0))
-        assert sorted(p.weight for p in long) == sorted(p.weight for p in short)

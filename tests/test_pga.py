@@ -13,7 +13,7 @@ from redip import (
 )
 from redip.analysis import coefficient_table, mass
 from redip.errors import InvalidAutomaton, InvalidWeight
-from redip.pga import contract, extend_alphabet, is_acyclic, rename_variable, trim, unit_pga
+from redip.pga import contract, extend_alphabet, rename_variable, trim, unit_pga
 from redip.rational import is_finite
 
 from conftest import rand_pga, series_of
@@ -383,32 +383,13 @@ def test_contract_keeps_a_trimmed_automaton_trimmed():
 # ----- acyclicity
 
 
-def geometric_loop():
-    # (1/2) acceptance at state 0, (1/2) x-labeled self loop
-    return make_pga(
-        ("x",),
-        1,
-        [Edge(0, 0, H, "x")],
-        {0: Fraction(1)},
-        {0: H},
-    )
-
-
-def test_is_acyclic():
-    assert not is_acyclic(geometric_loop())
-    chain = make_pga(
-        ("x",), 3, [Edge(0, 1, H, "x"), Edge(1, 2, H, None)], {0: Fraction(1)}, {2: Fraction(1)}
-    )
-    assert is_acyclic(chain)
-
-
 @given(st.integers(0, 10 ** 6))
 def test_random_acyclic_flag_is_honest(seed):
     import random
 
     rng = random.Random(seed)
     a = rand_pga(rng, acyclic=True)
-    assert is_acyclic(a)
+    assert all(e.src < e.dst for e in a.edges)
 
 
 def test_series_of_matches_hand_sum():

@@ -17,8 +17,11 @@ def test_parse_weight_accepts_canonical_forms():
     assert parse_weight("140/40") == Fraction(7, 2)  # unreduced input is fine
 
 
+# the last three: a trailing newline, Arabic-Indic 3/4 and a fullwidth 3
 @pytest.mark.parametrize(
-    "bad", ["-1", "+2", "0.5", "1/0", " 1", "1 ", "1/ 2", "1//2", "", "a", "1/-2", "1e3"]
+    "bad",
+    ["-1", "+2", "0.5", "1/0", " 1", "1 ", "1/ 2", "1//2", "", "a", "1/-2", "1e3"]
+    + ["3\n", "\u0663/\u0664", "\uff13"],
 )
 def test_parse_weight_rejects_noncanonical(bad):
     with pytest.raises(InvalidWeight):

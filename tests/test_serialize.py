@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redip import (
     Edge,
@@ -14,7 +15,7 @@ from redip import (
     pga_to_json,
     save_pga,
 )
-from redip.errors import PgaParseError
+from redip.errors import PgaParseError, RedipError
 from redip.serialize import pga_from_dict, pga_to_dict, pga_to_dot
 
 from conftest import rand_pga
@@ -117,6 +118,20 @@ def test_initial_state_out_of_range():
         pga_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [" 1", "+1", "1_0", "\u0661", "-1", "1" * 5000],
+    ids=["space", "plus", "underscore", "arabic-indic-one", "minus", "5000-digits"],
+)
+@pytest.mark.parametrize("which", ["initial", "final"])
+def test_state_keys_are_ascii_digits(which, key):
+    # int() alone reads each of the first four, "1_0" as state 10
+    d = good()
+    d[which] = {key: "1"}
+    with pytest.raises(PgaParseError, match="is not a natural number"):
+        pga_from_dict(d)
+
+
 def test_float_weight_rejected():
     d = good()
     d["edges"][0]["weight"] = 0.5
@@ -160,6 +175,39 @@ def test_invalid_json_text():
 def test_non_object_source():
     with pytest.raises(PgaParseError, match="expected an object"):
         pga_from_dict([1, 2])
+
+
+# any JSON value, and automata with each field drawn near its valid form
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+weights = st.sampled_from(["0", "1", "1/2", "2/0", "-1", "1.5", " 1"]) | json_values
+state_keys = st.sampled_from(["0", "1", "2", "01", "-1", " 1", "x"]) | st.text(max_size=2)
+edges = st.fixed_dictionaries(
+    {"src": st.integers(-1, 3) | json_values, "dst": st.integers(-1, 3) | json_values, "weight": weights},
+    optional={"symbol": st.sampled_from(["x", "y", None]) | json_values, "color": json_values},
+)
+near_pgas = st.fixed_dictionaries(
+    {
+        "alphabet": st.sampled_from([["x"], ["x", "y"], [], ["x", "x"]]) | json_values,
+        "states": st.integers(-1, 3) | json_values,
+        "edges": st.lists(edges, max_size=3) | json_values,
+        "initial": st.dictionaries(state_keys, weights, max_size=2) | json_values,
+        "final": st.dictionaries(state_keys, weights, max_size=2) | json_values,
+    },
+    optional={"comment": json_values},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=30) | json_values.map(json.dumps) | near_pgas.map(json.dumps))
+def test_pga_from_json_raises_only_redip_errors(text):
+    try:
+        pga_from_json(text)
+    except RedipError:
+        pass
 
 
 # ----- dot export
