@@ -6,9 +6,9 @@ solution gives, per state, the total weight of runs from that state to
 acceptance; the mass is the initial-weight combination of that vector.
 
 `mass` always solves over useful states only: those of `trim(a)`, or, given
-a guard DFA, the pairs (state, DFA state) reached from the start that reach
-an accepting pair, which are the states of the trimmed product with the
-guard's counting automaton, walked without ever building the product. On
+a guard DFA, the useful pairs of automaton and DFA states, which are the
+states of the trimmed product with the guard's counting automaton; the walk
+in `constructions` lists them without ever building the product. On
 such a system exact Gaussian elimination on (I - M) B = F is conclusive: any
 nonnegative solution bounds every partial sum of the series, so a nonsingular
 system with a nonnegative solution gives the least one, and a singular system
@@ -20,15 +20,15 @@ elimination.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable, ZeroMass
+from .constructions import _useful_pairs
+from .errors import InfiniteMass, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
 from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem, simplex_min
-from .pga import Pga, closure, make_pga, reach_and_coreach, trim
+from .pga import Pga, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 
@@ -40,51 +40,6 @@ def _identity_minus(n: int, arcs: Iterable[tuple[int, int, Fraction]]) -> list[d
         row = rows[src]
         row[dst] = row[dst] - w if dst in row else -w
     return rows
-
-
-def _useful_pairs(
-    a: Pga, dfa: GuardDfa
-) -> tuple[int, list[tuple[int, int, Fraction]], dict[int, Fraction], dict[int, Fraction]]:
-    """Dimension, arcs, final and initial weights of the system of
-    `mass(a, dfa)`, over the useful pairs (q, s) of automaton and DFA states.
-
-    Pair (q, s) is the integer q * k + s. A labeled edge advances s through
-    the DFA, an unlabeled edge keeps it; initial weight sits on
-    (q, dfa.initial), final weight on (q, accepting s). Useful pairs are
-    reached from an initial pair and reach a final one; they are numbered in
-    increasing pair order, the state order of `trim(product(a, dfa))`. Only
-    the pairs reached are ever built.
-    """
-    if dfa.alphabet != a.alphabet:
-        raise InvalidAutomaton(f"alphabet mismatch {a.alphabet} vs {dfa.alphabet}")
-    k, start, accepting = dfa.num_states, dfa.initial, dfa.accepting
-    steps = {var: [dfa.delta[(s, var)] for s in range(k)] for var in a.alphabet}
-    steps[None] = list(range(k))
-    out: list[list[tuple[int, Fraction, list[int]]]] = [[] for _ in range(a.num_states)]
-    for e in a.edges:
-        out[e.src].append((e.dst * k, e.weight, steps[e.symbol]))
-    arcs: dict[int, dict[int, Fraction]] = {}
-
-    def successors(p: int) -> dict[int, Fraction]:
-        """The row of pair p, built when the walk first reaches it."""
-        row = arcs[p] = {}
-        q, s = divmod(p, k)
-        for base, w, step in out[q]:
-            t = base + step[s]
-            row[t] = row[t] + w if t in row else w
-        return row
-
-    reach = closure([q * k + start for q in a.initial], successors)
-    pred: defaultdict[int, list[int]] = defaultdict(list)
-    for p in reach:
-        for t in arcs[p]:
-            pred[t].append(p)
-    finals = [pair for q in a.final for s in accepting if (pair := q * k + s) in reach]
-    index = {p: i for i, p in enumerate(sorted(closure(finals, pred.__getitem__)))}
-    system = [(i, index[t], w) for p, i in index.items() for t, w in arcs[p].items() if t in index]
-    final = {index[p]: a.final[p // k] for p in finals if p in index}
-    initial = {index[pair]: w for q, w in a.initial.items() if (pair := q * k + start) in index}
-    return len(index), system, final, initial
 
 
 def mass(

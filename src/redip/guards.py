@@ -118,14 +118,16 @@ def equality_guard(valuation: Mapping[str, int], alphabet: Sequence[str]) -> Gua
 class GuardDfa:
     """A complete deterministic automaton over the alphabet.
 
-    `delta` is total: one successor per (state, variable) pair.
+    `delta[var]` is the successor table of one letter: state s steps to
+    `delta[var][s]`. There is one table per alphabet variable, each with
+    `num_states` entries, so the automaton is total.
     """
 
     alphabet: tuple[str, ...]
     num_states: int
     initial: int
     accepting: frozenset[int]
-    delta: dict[tuple[int, str], int]
+    delta: dict[str, tuple[int, ...]]
 
 
 def dfa_less_than(var: str, bound: int, alphabet: tuple[str, ...]) -> GuardDfa:
@@ -135,50 +137,43 @@ def dfa_less_than(var: str, bound: int, alphabet: tuple[str, ...]) -> GuardDfa:
     sink); other variables self-loop. bound = 0 is the single-state rejecting
     automaton for an unsatisfiable threshold.
     """
-    delta = {}
-    for q in range(bound + 1):
-        for v in alphabet:
-            delta[(q, v)] = min(q + 1, bound) if v == var else q
+    stay = tuple(range(bound + 1))
+    delta = {v: stay[1:] + (bound,) if v == var else stay for v in alphabet}
     return GuardDfa(alphabet, bound + 1, 0, frozenset(range(bound)), delta)
 
 
 def dfa_mod(var: str, modulus: int, residue: int, alphabet: tuple[str, ...]) -> GuardDfa:
     """Cyclic counter for var % modulus == residue."""
-    delta = {}
-    for q in range(modulus):
-        for v in alphabet:
-            delta[(q, v)] = (q + 1) % modulus if v == var else q
+    stay = tuple(range(modulus))
+    delta = {v: stay[1:] + (0,) if v == var else stay for v in alphabet}
     return GuardDfa(alphabet, modulus, 0, frozenset([residue]), delta)
 
 
 def dfa_complement(d: GuardDfa) -> GuardDfa:
+    """Same tables, accepting states flipped."""
     flipped = frozenset(range(d.num_states)) - d.accepting
-    return GuardDfa(d.alphabet, d.num_states, d.initial, flipped, dict(d.delta))
+    return GuardDfa(d.alphabet, d.num_states, d.initial, flipped, d.delta)
 
 
 def dfa_product(d1: GuardDfa, d2: GuardDfa) -> GuardDfa:
     """Synchronous product of two DFAs over one alphabet, restricted to
     reachable pairs; accepts the intersection. Completeness is preserved
-    because the reachable set of a complete product is transition-closed."""
-    start = (d1.initial, d2.initial)
-    index = {start: 0}
-    order = [start]
-    delta: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        pair = order[i]
-        for v in d1.alphabet:
-            succ = (d1.delta[(pair[0], v)], d2.delta[(pair[1], v)])
-            j = index.get(succ)
-            if j is None:
-                j = len(order)
-                index[succ] = j
-                order.append(succ)
-            delta[(i, v)] = j
-        i += 1
+    because the reachable set of a complete product is transition-closed.
+    Pairs are numbered breadth-first from the start pair."""
+    order = [(d1.initial, d2.initial)]
+    index = {order[0]: 0}
+    tables = {v: (d1.delta[v], d2.delta[v], []) for v in d1.alphabet}
+    for q1, q2 in order:  # the list grows while it is read
+        for t1, t2, succ in tables.values():
+            pair = (t1[q1], t2[q2])
+            j = index.setdefault(pair, len(order))
+            if j == len(order):
+                order.append(pair)
+            succ.append(j)
     accepting = frozenset(
         i for i, (a, b) in enumerate(order) if a in d1.accepting and b in d2.accepting
     )
+    delta = {v: tuple(succ) for v, (_, _, succ) in tables.items()}
     return GuardDfa(d1.alphabet, len(order), 0, accepting, delta)
 
 

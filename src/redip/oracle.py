@@ -335,12 +335,7 @@ class McReport:
         return self.counts.get(sigma, 0) / self.accepted
 
 
-def mc_sample(
-    p: Program,
-    samples: int,
-    seed: int,
-    alphabet: Optional[tuple[str, ...]] = None,
-) -> McReport:
+def mc_sample(p: Program, samples: int, seed: int) -> McReport:
     """Monte Carlo posterior estimation with rejection of violating runs.
 
     Supports iid increments (the count variable is read at run time), so this
@@ -348,7 +343,7 @@ def mc_sample(
     """
     if samples < 0:
         raise InvalidParameter(f"sample count must be nonnegative, got {samples}")
-    alphabet = alphabet if alphabet is not None else program_vars(p)
+    alphabet = program_vars(p)
     rng = random.Random(seed)
     index = {v: i for i, v in enumerate(alphabet)}
     pmf_cache: dict = {}

@@ -17,6 +17,7 @@ Weights are decimal-free fraction strings ("3" or "9/10"), never floats. The
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .errors import InvalidAutomaton, InvalidWeight, PgaParseError
@@ -25,6 +26,7 @@ from .rational import format_weight, parse_weight
 
 _TOP_KEYS = {"alphabet", "states", "edges", "initial", "final"}
 _EDGE_KEYS = {"src", "dst", "weight", "symbol"}
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def pga_to_dict(a: Pga) -> dict[str, Any]:
@@ -138,7 +140,10 @@ def _edge_label(e: Edge) -> str:
 
 def pga_to_dot(a: Pga, name: str = "pga") -> str:
     """Graphviz rendering: circles for states, dangling arrows for initial and
-    final weights (unlabeled when the weight is 1)."""
+    final weights (unlabeled when the weight is 1). A graph name that is not a
+    plain DOT identifier, or is a DOT keyword, is written as a quoted string."""
+    if not re.fullmatch("[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle fontname="monospace"];']
     for q in range(a.num_states):
         lines.append(f"  q{q} [label=\"{q}\"];")

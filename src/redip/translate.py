@@ -71,7 +71,7 @@ from .lang import (
     guard_to_text,
     program_vars,
 )
-from .pga import Edge, Pga, contract, extend_alphabet, make_pga, trim, unit_pga
+from .pga import Pga, contract, extend_alphabet, make_pga, trim, unit_pga
 from .rational import is_finite
 
 
@@ -120,20 +120,14 @@ class _Translator:
                 "concat", f"{p.var} += {dist_to_text(p.dist)}", concat(a, d)
             )
         if isinstance(p, IncrVar):
-            gadget = make_pga(
-                alpha,
-                3,
-                [Edge(0, 1, 1, p.source), Edge(1, 2, 1, p.var)],
-                {0: 1},
-                {2: 1},
-            )
+            gadget = make_pga(alpha, 3, [(0, 1, 1, p.source), (1, 2, 1, p.var)], {0: 1}, {2: 1})
             return self.record(
                 "transition-subst",
                 f"{p.var} += {p.source}",
                 transition_subst(a, p.source, gadget),
             )
         if isinstance(p, IncrIid):
-            one_count = make_pga(alpha, 2, [Edge(0, 1, 1, p.count_var)], {0: 1}, {1: 1})
+            one_count = make_pga(alpha, 2, [(0, 1, 1, p.count_var)], {0: 1}, {1: 1})
             gadget = concat(one_count, build_dist_pga(p.dist, p.var, alpha))
             return self.record(
                 "transition-subst",
@@ -250,7 +244,7 @@ def coefficient(a: Pga, valuation: Mapping[str, int]) -> Fraction:
 def marginal(a: Pga, var: str, upto: int) -> tuple[list[Fraction], Fraction]:
     """Pointwise marginal of one variable: ([P(var=0..upto)], tail mass)."""
     if var not in a.alphabet:
-        raise InvalidAutomaton(f"{var!r} not in alphabet {a.alphabet}")
+        raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
     if upto < 0:
         raise InvalidParameter(f"marginal bound must be nonnegative, got {upto}")
     b = a

@@ -185,6 +185,8 @@ def test_guard_queries_never_build_the_product(monkeypatch):
 
     # the package re-exports the function `translate`, which hides the module
     monkeypatch.setattr(sys.modules["redip.translate"], "product", refuse)
+    # the useful-pair walk lives next to `product`
+    monkeypatch.setattr(sys.modules["redip.constructions"], "product", refuse)
     a = loop(H)
     assert guard_mass(a, parse_guard("x >= 2", a.alphabet)) == Fraction(1, 4)
     assert coefficient(a, {"x": 2}) == Fraction(1, 8)

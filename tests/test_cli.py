@@ -153,6 +153,16 @@ def test_query_coefficient_and_guard(program, tmp_path, capsys):
     assert "21/44" in capsys.readouterr().out
 
 
+def test_query_refuses_a_variable_given_twice(program, tmp_path, capsys):
+    out_path = tmp_path / "posterior.json"
+    main(["infer", program, "-o", str(out_path)])
+    capsys.readouterr()
+    assert main(["query", str(out_path), "--at", "x=0,x=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'x' given twice" in captured.err
+
+
 def test_query_missing_file_exit_code(capsys):
     assert main(["query", "/nonexistent/a.json", "--at", "x=1"]) == 3
     assert "file error" in capsys.readouterr().err
@@ -260,6 +270,11 @@ def test_export_dot_from_program(program, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph demo {")
     assert "rankdir=LR;" in out
+
+
+def test_export_dot_quotes_a_name_that_is_not_an_identifier(program, capsys):
+    assert main(["export-dot", program, "--name", "my-graph"]) == 0
+    assert capsys.readouterr().out.startswith('digraph "my-graph" {')
 
 
 def test_export_dot_from_automaton_file(prior_file, tmp_path):

@@ -40,7 +40,7 @@ def dfa_accepts(d, word):
     """Run a word through the DFA from its initial state."""
     q = d.initial
     for sym in word:
-        q = d.delta[(q, sym)]
+        q = d.delta[sym][q]
     return q in d.accepting
 
 
@@ -123,10 +123,10 @@ def test_dfa_less_than_shape():
     assert d.num_states == 3
     assert d.initial == 0
     assert d.accepting == frozenset({0, 1})
-    assert d.delta[(0, "x")] == 1
-    assert d.delta[(1, "x")] == 2
-    assert d.delta[(2, "x")] == 2  # saturating sink
-    assert d.delta[(0, "y")] == 0
+    assert d.delta["x"][0] == 1
+    assert d.delta["x"][1] == 2
+    assert d.delta["x"][2] == 2  # saturating sink
+    assert d.delta["y"][0] == 0
 
 
 def test_dfa_less_than_zero_is_rejecting_sink():
@@ -139,7 +139,7 @@ def test_dfa_mod_shape():
     d = dfa_mod("x", 3, 2, ALPHA)
     assert d.num_states == 3
     assert d.accepting == frozenset({2})
-    assert d.delta[(2, "x")] == 0
+    assert d.delta["x"][2] == 0
     assert not dfa_accepts(d, ["x", "x", "x"])
     assert dfa_accepts(d, ["x", "y", "x"])
 
@@ -185,6 +185,20 @@ def test_permutation_invariance(word):
     shuffled = list(word)
     rng.shuffle(shuffled)
     assert dfa_accepts(d, word) == dfa_accepts(d, shuffled)
+
+
+def test_every_dfa_has_one_complete_table_per_letter():
+    """Totality is the tables' shape: one table per alphabet letter, each with
+    a successor in range for every state. The complement shares the tables."""
+    rng = random.Random(808)
+    for _ in range(200):
+        d = build_guard_dfa(rand_guard(rng, ALPHA), ALPHA)
+        assert list(d.delta) == list(ALPHA)
+        for table in d.delta.values():
+            assert len(table) == d.num_states
+            assert all(0 <= t < d.num_states for t in table)
+        c = dfa_complement(d)
+        assert all(c.delta[v] is d.delta[v] for v in ALPHA)
 
 
 def test_random_guard_generator_agrees_with_dfa():

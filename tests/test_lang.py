@@ -303,6 +303,8 @@ def test_parse_valuation():
         parse_valuation("x=")
     with pytest.raises(ValueError, match="malformed"):
         parse_valuation("x=\u0663")  # an Arabic-Indic three
+    with pytest.raises(ValueError, match="'x' given twice"):
+        parse_valuation("x=0, x=1")
 
 
 # ----- rendering round trip

@@ -226,6 +226,17 @@ def test_dot_output_shape():
     assert dot.rstrip().endswith("}")
 
 
+def test_dot_name_is_quoted_unless_a_plain_identifier():
+    def header(name):
+        return pga_to_dot(sample(), name=name).splitlines()[0]
+
+    assert header("_g1") == "digraph _g1 {"
+    assert header("my-graph") == 'digraph "my-graph" {'
+    assert header("2x") == 'digraph "2x" {'
+    assert header('a"b\\c') == 'digraph "a\\"b\\\\c" {'
+    assert header("Node") == 'digraph "Node" {'  # keywords are case-independent
+
+
 def test_dot_weight_one_label_is_bare_symbol():
     a = make_pga(("x",), 2, [Edge(0, 1, Fraction(1), "x")], {0: Fraction(1)}, {1: Fraction(1)})
     dot = pga_to_dot(a)

@@ -20,7 +20,7 @@ from redip import (
     translate,
     working_alphabet,
 )
-from redip.errors import InvalidAutomaton, InvalidParameter
+from redip.errors import InvalidAutomaton, InvalidParameter, UnknownVariable
 from redip.oracle import dist_pmf
 
 H = Fraction(1, 2)
@@ -195,6 +195,11 @@ def test_long_decrement_ladder_infers_to_a_point_mass():
     assert res.posterior.size == 0
     assert coefficient(res.posterior, {"x": 0}) == 1
     assert marginal(res.posterior, "x", 2) == ([ONE, 0, 0], 0)
+
+
+def test_marginal_rejects_a_variable_outside_the_alphabet():
+    with pytest.raises(UnknownVariable, match="'z' not in alphabet"):
+        marginal(infer(parse_program("x += 1")).posterior, "z", 2)
 
 
 def test_marginal_rejects_a_negative_bound():
