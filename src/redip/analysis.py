@@ -20,6 +20,8 @@ elimination.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -153,28 +155,20 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     except SingularSystem as exc:  # impossible for finite mass, checked above
         raise InfiniteMass(f"unlabeled-edge structure diverges: {exc}") from exc
     f = [t.final.get(q, ZERO) for q in range(n)]
-    vectors: dict[tuple[int, ...], list[Fraction]] = {}
-    pending_uses: dict[tuple[int, ...], int] = {}
+    # keys run in box order, so key - e_i was solved stride[i] keys ago; the
+    # deque holds one slab of vectors, never the whole grid
+    stride = [math.prod(len(r) for r in box[i + 1 :]) for i in range(len(box))]
+    recent: deque[list[Fraction]] = deque(maxlen=max(stride, default=1))
     for key in itertools.product(*box):
         rhs = list(f) if not any(key) else [ZERO] * n
         for i, var in enumerate(t.alphabet):
-            if key[i] == 0:
-                continue
-            prev_key = key[:i] + (key[i] - 1,) + key[i + 1 :]
-            into = arcs_into[var]
-            for j, pv in enumerate(vectors[prev_key]):
-                if pv is not ZERO and pv:
-                    for q, w in into[j]:
-                        rhs[q] += w * pv
-            pending_uses[prev_key] -= 1
-            if pending_uses[prev_key] == 0:
-                del vectors[prev_key], pending_uses[prev_key]
+            if key[i]:
+                into = arcs_into[var]
+                for j, pv in enumerate(recent[-stride[i]]):
+                    if pv is not ZERO and pv:
+                        for q, w in into[j]:
+                            rhs[q] += w * pv
         vec = system.solve(rhs)
-        # a vector is consumed once per in-range successor; drop it after
-        # the last use so a big box never holds the whole grid in memory
-        uses = sum(1 for i in range(len(key)) if key[i] < box[i].stop - 1)
-        if uses:
-            vectors[key] = vec
-            pending_uses[key] = uses
+        recent.append(vec)
         table[key] = sum((w * vec[q] for q, w in t.initial.items()), ZERO)
     return table

@@ -63,8 +63,6 @@ def _ast_json(node: Any) -> Any:
         return out
     if isinstance(node, Fraction):
         return format_weight(node)
-    if isinstance(node, tuple):
-        return [_ast_json(x) for x in node]
     return node
 
 
@@ -140,17 +138,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     a = load_pga(args.file)
     digits = args.digits
-    if args.at:
+    if args.at is not None:
         valuation = parse_valuation(args.at)
         value = coefficient(a, valuation)
         label = f"coefficient at {args.at}"
-    elif args.guard:
+    else:
         g = parse_guard(args.guard, a.alphabet)
         value = guard_mass(a, g)
         label = f"mass of {args.guard}"
-    else:
-        print("query needs --at or --guard", file=sys.stderr)
-        return 1
     if args.json:
         print(json.dumps({"query": label, "value": format_weight(value)}))
     else:
@@ -284,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("query", cmd_query, "query a stored automaton", "automaton JSON file",
                  digits=True, as_json=True)
-    sp.add_argument("--at", help='valuation like "x=2,r=0": exact coefficient')
-    sp.add_argument("--guard", help="guard: probability mass of satisfying runs")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--at", help='valuation like "x=2,r=0": exact coefficient')
+    which.add_argument("--guard", help="guard: probability mass of satisfying runs")
 
     command("check", cmd_check, "validate a program or automaton file", either_file)
 

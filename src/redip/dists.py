@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 from .analysis import mass
 from .constructions import concat
-from .errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter
+from .errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter, UnknownVariable
 from .pga import Pga, extend_alphabet, make_pga, rename_variable, unit_pga
 from .serialize import load_pga
 
@@ -108,7 +108,7 @@ def build_dist_pga(spec: DistSpec, var: str, alphabet: Sequence[str]) -> Pga:
     """Automaton with the distribution's generating function over `var`,
     hosted on the full program alphabet."""
     if var not in alphabet:
-        raise InvalidParameter(f"{var!r} not in alphabet {tuple(alphabet)}")
+        raise UnknownVariable(f"{var!r} not in alphabet {tuple(alphabet)}")
     # make_pga drops the zero weights of the p = 0 and p = 1 cases
     if isinstance(spec, Geometric):
         return make_pga(alphabet, 1, [(0, 0, 1 - spec.p, var)], {0: 1}, {0: spec.p})

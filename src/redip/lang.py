@@ -598,12 +598,12 @@ def parse_valuation(text: str) -> dict[str, int]:
         name = name.strip()
         value = value.strip()
         if not sep or not name or not value or not (value.isascii() and value.isdigit()):
-            raise ValueError(f"malformed valuation entry {part!r} (want var=nat)")
+            raise InvalidParameter(f"malformed valuation entry {part!r} (want var=nat)")
         if name in out:
-            raise ValueError(f"variable {name!r} given twice in valuation")
+            raise InvalidParameter(f"variable {name!r} given twice in valuation")
         out[name] = int(value)
     if not out:
-        raise ValueError("empty valuation")
+        raise InvalidParameter("empty valuation")
     return out
 
 

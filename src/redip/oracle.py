@@ -8,7 +8,8 @@ probability mass beyond the bound is tracked separately as a residual, which
 turns every comparison into a two-sided bound instead of a guess.
 
 The one supported coupling: a custom distribution has no closed form, so its
-probabilities are read from its automaton file, by `_custom_pmf` alone.
+probabilities are the coefficients of the automaton that the engine's own
+loader builds from its file, read by `_custom_pmf` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .analysis import coefficient_table, mass
+from .analysis import coefficient_table
 from .dists import (
     Bernoulli,
     Binomial,
@@ -29,8 +30,9 @@ from .dists import (
     Geometric,
     NegBinomial,
     Uniform,
+    build_dist_pga,
 )
-from .errors import InvalidAutomaton, InvalidParameter, RedipError, UnsupportedIid
+from .errors import InvalidAutomaton, InvalidParameter, UnsupportedIid
 from .guards import guard_satisfies
 from .lang import (
     Choice,
@@ -47,8 +49,6 @@ from .lang import (
     program_vars,
 )
 from .pga import Edge, Pga, trim
-from .rational import is_finite
-from .serialize import load_pga
 
 Valuation = tuple[int, ...]
 
@@ -79,11 +79,10 @@ Config = Union[Running, Terminated, Violation]
 
 
 def _custom_pmf(spec: Custom, bound: int) -> list[Fraction]:
-    """Exact pmf of a file-defined distribution at 0..bound, read from the
-    coefficients of its automaton file."""
-    a = load_pga(spec.path)
-    # only the first variable has a nonzero bound, so the table runs 0..bound
-    return list(coefficient_table(a, {a.alphabet[0]: bound}).values())
+    """Exact pmf of a file-defined distribution at 0..bound: the coefficients
+    of the automaton that the engine builds from the file, which refuses a
+    file exactly as `infer` does."""
+    return list(coefficient_table(build_dist_pga(spec, "x", ("x",)), {"x": bound}).values())
 
 
 def dist_pmf(spec: DistSpec, k: int) -> Fraction:
@@ -460,10 +459,10 @@ def compare(
     enumerated valuation, and the normalizing constant and violation mass must
     land in the corresponding intervals. A zero residual forces equalities.
     """
-    from .translate import translate, working_alphabet
+    from .translate import translate
 
-    alphabet = working_alphabet(p, prior)
     tr = translate(p, prior)
+    alphabet = tr.alphabet
     # tr.prior already lives on the working alphabet, so its support
     # valuations line up with the oracle's
     start = None if prior is None else prior_support(tr.prior)
@@ -480,18 +479,14 @@ def compare(
             worst = max(worst, gap)
             mismatches.append(f"{label}: {value} outside [{low}, {high}]")
 
-    if report.terminal:
-        bounds = {
-            v: max(sig[i] for sig in report.terminal) for i, v in enumerate(alphabet)
-        }
-        table = coefficient_table(tr.automaton, bounds)
-        for sig, low in sorted(report.terminal.items()):
-            c = table.get(sig, Fraction(0))
-            check(f"coefficient {dict(zip(alphabet, sig))}", low, c, low + rho)
-
-    z = mass(tr.automaton)
-    if not is_finite(z):
-        raise RedipError("internal error: the translated program has infinite mass")
+    # the box {0} when no run terminated: the table still solves for z
+    bounds = {
+        v: max((sig[i] for sig in report.terminal), default=0) for i, v in enumerate(alphabet)
+    }
+    table = coefficient_table(tr.automaton, bounds)
+    for sig, low in sorted(report.terminal.items()):
+        check(f"coefficient {dict(zip(alphabet, sig))}", low, table[sig], low + rho)
+    z = table.total
     check("normalizing constant", report.terminal_mass, z, report.terminal_mass + rho)
     check("violation mass", report.violation, tr.prior_mass - z, report.violation + rho)
 

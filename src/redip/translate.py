@@ -237,7 +237,7 @@ def coefficient(a: Pga, valuation: Mapping[str, int]) -> Fraction:
             if count != 0:
                 raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
         elif count < 0:
-            raise InvalidAutomaton(f"negative count {count} for {var}")
+            raise InvalidParameter(f"negative count {count} for {var}")
     return guard_mass(a, equality_guard(valuation, a.alphabet))
 
 
@@ -247,10 +247,12 @@ def marginal(a: Pga, var: str, upto: int) -> tuple[list[Fraction], Fraction]:
         raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
     if upto < 0:
         raise InvalidParameter(f"marginal bound must be nonnegative, got {upto}")
+    # relabeling keeps every edge, so it keeps a trimmed automaton trimmed;
+    # the table trims once anyway
     b = a
     for other in a.alphabet:
         if other != var:
-            b = contract(trim(label_subst_one(b, other)))
+            b = contract(label_subst_one(b, other))
     table = coefficient_table(b, {var: upto})
     # only var has a nonzero bound, so the table runs through var = 0..upto
     probs = list(table.values())

@@ -1,5 +1,6 @@
 """Mass, normalization, validation, and coefficient extraction."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -260,7 +261,7 @@ def test_coefficient_ignores_zero_count_of_unknown_var():
     assert coefficient(a, {"x": 1, "phantom": 0}) == Fraction(1, 4)
     with pytest.raises(UnknownVariable):
         coefficient(a, {"phantom": 2})
-    with pytest.raises(InvalidAutomaton):
+    with pytest.raises(InvalidParameter):
         coefficient(a, {"x": -1})
 
 
@@ -294,16 +295,19 @@ def test_coefficient_table_geometric_box():
 
 def test_coefficient_table_matches_pointwise_on_cyclic():
     rng = random.Random(4242)
-    checked = 0
-    while checked < 12:
-        a = rand_pga(rng)
-        if not trim(a).final or mass(a) is INF:
-            continue
-        table = coefficient_table(a, {"x": 3, "y": 2})
-        for key, value in table.items():
-            sigma = dict(zip(trim(a).alphabet, key))
-            assert coefficient(a, sigma) == value
-        checked += 1
+    # the second box has three axes, the middle one of length one: strides 4, 4, 1
+    for bounds in ({"x": 3, "y": 2}, {"x": 2, "y": 0, "z": 3}):
+        checked = 0
+        while checked < 12:
+            a = rand_pga(rng, alphabet=tuple(bounds))
+            if not trim(a).final or mass(a) is INF:
+                continue
+            table = coefficient_table(a, bounds)
+            assert len(table) == math.prod(b + 1 for b in bounds.values())
+            for key, value in table.items():
+                sigma = dict(zip(trim(a).alphabet, key))
+                assert coefficient(a, sigma) == value
+            checked += 1
 
 
 def test_coefficient_table_missing_bound_means_zero():

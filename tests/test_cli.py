@@ -163,6 +163,25 @@ def test_query_refuses_a_variable_given_twice(program, tmp_path, capsys):
     assert "'x' given twice" in captured.err
 
 
+def test_query_json_prints_the_query_and_its_value(program, tmp_path, capsys):
+    out_path = tmp_path / "posterior.json"
+    main(["infer", program, "-o", str(out_path)])
+    capsys.readouterr()
+    assert main(["query", str(out_path), "--at", "r=1,x=2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "query": "coefficient at r=1,x=2",
+        "value": "3/44",
+    }
+
+
+@pytest.mark.parametrize("flags", [["--at", "r=1,x=2", "--guard", "r >= 1"], []])
+def test_query_takes_exactly_one_of_at_and_guard(prior_file, capsys, flags):
+    assert exit_code(["query", prior_file, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: redip query" in captured.err
+
+
 def test_query_missing_file_exit_code(capsys):
     assert main(["query", "/nonexistent/a.json", "--at", "x=1"]) == 3
     assert "file error" in capsys.readouterr().err
@@ -245,6 +264,11 @@ def test_check_accepts_valid_program(program, capsys):
     assert main(["check", program]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+def test_check_accepts_valid_automaton(prior_file, capsys):
+    assert main(["check", prior_file]) == 0
+    assert capsys.readouterr().out == "mass: 1\nok: probability generating automaton\n"
 
 
 def test_check_flags_non_distribution_automaton(tmp_path, capsys):

@@ -19,7 +19,7 @@ from redip import (
     mass,
     save_pga,
 )
-from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter
+from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter, UnknownVariable
 from redip.oracle import dist_pmf
 from redip.pga import unit_pga
 
@@ -107,7 +107,7 @@ def test_dist_pga_lives_on_the_full_alphabet():
     a = build_dist_pga(Geometric(H), "y", ("x", "y", "z"))
     assert a.alphabet == ("x", "y", "z")
     assert all(e.symbol == "y" for e in a.edges)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(UnknownVariable):
         build_dist_pga(Geometric(H), "w", ("x", "y"))
 
 

@@ -33,7 +33,13 @@ from redip import (
     parse_program,
     program_size,
 )
-from redip.errors import ProbabilityRangeError, RedipError, RedipSyntaxError, UnknownVariable
+from redip.errors import (
+    InvalidParameter,
+    ProbabilityRangeError,
+    RedipError,
+    RedipSyntaxError,
+    UnknownVariable,
+)
 from redip.lang import (
     dist_to_text,
     guard_to_text,
@@ -299,11 +305,11 @@ def test_parse_guard_respects_alphabet():
 def test_parse_valuation():
     assert parse_valuation("x=2, r=0") == {"x": 2, "r": 0}
     assert parse_valuation("x = 5") == {"x": 5}
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         parse_valuation("x=")
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(InvalidParameter, match="malformed"):
         parse_valuation("x=\u0663")  # an Arabic-Indic three
-    with pytest.raises(ValueError, match="'x' given twice"):
+    with pytest.raises(InvalidParameter, match="'x' given twice"):
         parse_valuation("x=0, x=1")
 
 

@@ -7,7 +7,7 @@ value from below.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import pytest
 
@@ -18,11 +18,13 @@ from redip import (
     build_dist_pga,
     compare,
     enumerate_program,
+    infer,
     make_pga,
+    marginal,
     parse_program,
     save_pga,
 )
-from redip.errors import InvalidAutomaton, UnsupportedIid
+from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidAutomaton, UnsupportedIid
 from redip.lang import Observe
 from redip.oracle import (
     Running,
@@ -295,6 +297,36 @@ def test_mc_iid_matches_binomial_roughly():
         assert abs(got - want) < 0.02, k
 
 
+def test_mc_matches_inference_on_every_statement_and_distribution():
+    """Every statement form and every built-in distribution, sampled: the
+    acceptance rate estimates z, and each variable's sampled marginal the
+    exact one, both within 4 standard errors."""
+    p = parse_program(
+        "a += geometric(1/2); b += bernoulli(1/3); c += dirac(2);"
+        "{ c += uniform(3) } [1/2] { c += binomial(3, 1/2) };"
+        "d += negbinomial(2, 1/2);"
+        "if (a >= 4) { a := 0 } else { b += a };"
+        "c -= 1; e += iid(bernoulli(1/2), c); d += 1;"
+        "observe(d % 2 == 1)"  # rejects 4/9 of the runs
+    )
+    post = infer(p)
+    samples = 40_000
+    rep = mc_sample(p, samples, seed=2024)
+    z = float(post.normalizing_constant)
+    assert z == 5 / 9
+    assert abs(rep.accepted / samples - z) <= 4 * sqrt(z * (1 - z) / samples)
+    upto = 8
+    for i, var in enumerate(rep.alphabet):
+        probs, tail = marginal(post.posterior, var, upto)
+        hits = [0] * (upto + 2)  # the last slot counts the tail
+        for sigma, count in rep.counts.items():
+            hits[min(sigma[i], upto + 1)] += count
+        for k, q in enumerate(probs + [tail]):
+            q = float(q)
+            got = hits[k] / rep.accepted
+            assert abs(got - q) <= 4 * sqrt(q * (1 - q) / rep.accepted), (var, k)
+
+
 # ----- custom distributions
 
 
@@ -318,3 +350,22 @@ def test_oracle_on_a_custom_distribution(tmp_path):
     assert abs(mc.estimate((1,)) - 2 / 3) < 0.02
 
 
+
+
+@pytest.mark.parametrize(
+    "automaton, error",
+    [
+        # two variables: enumeration used to read the first and drop the rest
+        (make_pga(("t", "u"), 2, [Edge(0, 1, H, "t"), Edge(0, 1, H, "u")], {0: ONE}, {1: ONE}),
+         CustomNotNormalized),
+        # mass 1/2: sampling used to wait forever for the pmf to sum to one
+        (make_pga(("t",), 2, [Edge(0, 1, H, "t")], {0: ONE}, {1: ONE}), CustomMassNotOne),
+    ],
+)
+def test_oracle_refuses_a_custom_file_as_infer_does(tmp_path, automaton, error):
+    path = tmp_path / "dist.json"
+    save_pga(automaton, str(path))
+    p = parse_program(f'x += custom("{path}")')
+    for run in (infer, enumerate_program, compare, lambda q: mc_sample(q, 10, seed=0)):
+        with pytest.raises(error):
+            run(p)
