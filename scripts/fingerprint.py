@@ -9,7 +9,9 @@ of the answers (the program's own queries, then for every posterior
 variable v the guard masses of `v >= 1` and `v % 2 == 0`, then the
 coefficient at the all-zero valuation), and a SHA-256 prefix of the
 coefficient table with every posterior variable's count up to 3, the one
-answer that takes the multi-variable level path. The corpus is the benchmark's
+answer that takes the multi-variable level path, and a SHA-256 prefix of the
+Monte-Carlo report `mc_sample(program, 200, seed=<line index>)`, on every
+line whose program parses. The corpus is the benchmark's
 small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
 m=18, a few programs heavy in syntactic sugar, and a few programs inferred
 from a prior automaton, one of whose priors has a dead and an unreachable
@@ -21,7 +23,7 @@ and compare:
 
 With `--answers-only` the `posterior=` and `steps=` columns are left out, so
 the lines compare what a user can observe (z, the answers, the table, the
-program text and the error messages) and not the automaton that carries them.
+program text, the sampled counts and the error messages) and not the automaton that carries them.
 That is the identity check for a change that reshapes the automaton, such as
 a reduction or a rewritten construction.
 """
@@ -53,6 +55,7 @@ from redip import (  # noqa: E402
     pga_to_json,
 )
 from redip.lang import program_to_text  # noqa: E402
+from redip.oracle import mc_sample  # noqa: E402
 
 # one custom distribution, written next to the programs that read it
 DIE = {
@@ -134,12 +137,17 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def fingerprint(case: workloads.Case, answers_only: bool = False, prior: str = "") -> str:
-    """The line's columns; `prior` names the prior's file, if any."""
+def fingerprint(
+    case: workloads.Case, seed: int, answers_only: bool = False, prior: str = ""
+) -> str:
+    """The line's columns; `seed` seeds the sampler, `prior` names the
+    prior's file, if any."""
     text = "-"
+    mc = ""
     try:
         p = parse_program(case.source)
         text = digest(program_to_text(p))
+        mc = f" mc={digest(repr(mc_sample(p, 200, seed)))}"
         result = infer(p, load_pga(prior) if prior else None)
         posterior = result.posterior
         answers = [
@@ -154,7 +162,7 @@ def fingerprint(case: workloads.Case, answers_only: bool = False, prior: str = "
         answers.append(coefficient(posterior, dict.fromkeys(posterior.alphabet, 0)))
         table = coefficient_table(posterior, dict.fromkeys(posterior.alphabet, 3))
     except RedipError as exc:
-        return f"text={text} error={type(exc).__name__}: {exc}"
+        return f"text={text}{mc} error={type(exc).__name__}: {exc}"
     columns = {
         "posterior": digest(pga_to_json(posterior)),
         "z": result.normalizing_constant,
@@ -165,7 +173,7 @@ def fingerprint(case: workloads.Case, answers_only: bool = False, prior: str = "
     }
     if answers_only:
         del columns["posterior"], columns["steps"]
-    return " ".join(f"{name}={value}" for name, value in columns.items())
+    return " ".join(f"{name}={value}" for name, value in columns.items()) + mc
 
 
 def main() -> int:
@@ -182,7 +190,7 @@ def main() -> int:
             Path(tmp, name).write_text(json.dumps(doc), encoding="utf-8")
         os.chdir(tmp)  # the sugar programs name the custom file by a relative path
         for i, (case, prior) in enumerate(runs):
-            print(f"{i} {case.name} {fingerprint(case, args.answers_only, prior)}")
+            print(f"{i} {case.name} {fingerprint(case, i, args.answers_only, prior)}")
     return 0
 
 

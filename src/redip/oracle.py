@@ -7,18 +7,21 @@ automata. Sampling distributions are truncated at a configurable bound; the
 probability mass beyond the bound is tracked separately as a residual, which
 turns every comparison into a two-sided bound instead of a guess.
 
-The one supported coupling: a custom distribution has no closed form, so its
-probabilities are the coefficients of the automaton that the engine's own
-loader builds from its file, read by `_custom_pmf` alone.
+The one supported coupling: a custom distribution has no closed form, so
+`pmf_row` reads its probabilities as the coefficients of the automaton that
+the engine's own loader builds from its file.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cache, partial
+from itertools import accumulate
+from typing import Callable, Optional, Union
 
 from .analysis import coefficient_table
 from .dists import (
@@ -51,6 +54,7 @@ from .lang import (
 from .pga import Edge, Pga, trim
 
 Valuation = tuple[int, ...]
+Rows = dict[DistSpec, list[Fraction]]  # each distribution's pmf_row
 
 
 # ---------------------------------------------------------------- configs
@@ -78,55 +82,33 @@ Config = Union[Running, Terminated, Violation]
 # ---------------------------------------------------------------- pmfs
 
 
-def _custom_pmf(spec: Custom, bound: int) -> list[Fraction]:
-    """Exact pmf of a file-defined distribution at 0..bound: the coefficients
-    of the automaton that the engine builds from the file, which refuses a
-    file exactly as `infer` does."""
-    return list(coefficient_table(build_dist_pga(spec, "x", ("x",)), {"x": bound}).values())
+def pmf_row(spec: DistSpec, bound: int) -> list[Fraction]:
+    """Exact probabilities of drawing 0..bound. A geometric is a negative
+    binomial with one success and a Bernoulli a binomial with one trial, as
+    in `build_dist_pga`; a custom file's row is the coefficients of the
+    automaton that the engine's loader builds from it, which refuses a file
+    exactly as `infer` does."""
+    ks = range(bound + 1)
+    if isinstance(spec, Dirac):
+        return [Fraction(k == spec.value) for k in ks]
+    if isinstance(spec, Uniform):
+        return [Fraction(k < spec.size, spec.size) for k in ks]
+    if isinstance(spec, (Bernoulli, Binomial)):
+        n, p = getattr(spec, "trials", 1), spec.p
+        return [math.comb(n, k) * p**k * (1 - p) ** (n - k) if k <= n else Fraction(0) for k in ks]
+    if isinstance(spec, (Geometric, NegBinomial)):
+        r, p = getattr(spec, "successes", 1), spec.p
+        if r == 0:
+            return [Fraction(k == 0) for k in ks]
+        return [math.comb(k + r - 1, k) * p**r * (1 - p) ** k for k in ks]
+    if isinstance(spec, Custom):
+        return list(coefficient_table(build_dist_pga(spec, "x", ("x",)), {"x": bound}).values())
+    raise TypeError(f"no pmf for {spec!r}")
 
 
 def dist_pmf(spec: DistSpec, k: int) -> Fraction:
-    """Exact probability of drawing k, by formula."""
-    if k < 0:
-        return Fraction(0)
-    if isinstance(spec, Geometric):
-        return spec.p * (1 - spec.p) ** k
-    if isinstance(spec, Bernoulli):
-        if k == 0:
-            return 1 - spec.p
-        return spec.p if k == 1 else Fraction(0)
-    if isinstance(spec, Dirac):
-        return Fraction(1) if k == spec.value else Fraction(0)
-    if isinstance(spec, Uniform):
-        return Fraction(1, spec.size) if k < spec.size else Fraction(0)
-    if isinstance(spec, Binomial):
-        if k > spec.trials:
-            return Fraction(0)
-        return math.comb(spec.trials, k) * spec.p**k * (1 - spec.p) ** (spec.trials - k)
-    if isinstance(spec, NegBinomial):
-        r = spec.successes
-        if r == 0:
-            return Fraction(1) if k == 0 else Fraction(0)
-        return math.comb(k + r - 1, k) * spec.p**r * (1 - spec.p) ** k
-    if isinstance(spec, Custom):
-        return _custom_pmf(spec, k)[k]
-    raise TypeError(f"no closed-form pmf for {spec!r}")
-
-
-class _PmfTable:
-    """Per-enumeration cache of pmf rows, one row per distribution."""
-
-    def __init__(self, truncation: int):
-        self.truncation = truncation
-        self.rows: dict[DistSpec, list[Fraction]] = {}
-
-    def row(self, spec: DistSpec) -> list[Fraction]:
-        if spec not in self.rows:
-            if isinstance(spec, Custom):
-                self.rows[spec] = _custom_pmf(spec, self.truncation)
-            else:
-                self.rows[spec] = [dist_pmf(spec, k) for k in range(self.truncation + 1)]
-        return self.rows[spec]
+    """Exact probability of drawing k."""
+    return pmf_row(spec, k)[k] if k >= 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------- small step
@@ -137,11 +119,12 @@ def _store(sigma: Valuation, idx: int, value: int) -> Valuation:
 
 
 def step(
-    cfg: Running, alphabet: tuple[str, ...], truncation: int, pmfs: Optional[_PmfTable] = None
+    cfg: Running, alphabet: tuple[str, ...], truncation: int, rows: Optional[Rows] = None
 ) -> tuple[list[tuple[Fraction, Config]], Fraction]:
     """One execution step. Returns the weighted successor configurations and
-    the probability mass cut off by the sampling truncation."""
-    pmfs = pmfs or _PmfTable(truncation)
+    the probability mass cut off by the sampling truncation; `rows` caches
+    each distribution's `pmf_row` across steps."""
+    rows = {} if rows is None else rows
     p = cfg.program
     sigma = cfg.valuation
     env = dict(zip(alphabet, sigma))
@@ -160,7 +143,9 @@ def step(
         return [(Fraction(1), Terminated(_store(sigma, idx, new)))], Fraction(0)
     if isinstance(p, IncrDist):
         idx = at(p.var)
-        row = pmfs.row(p.dist)
+        if p.dist not in rows:
+            rows[p.dist] = pmf_row(p.dist, truncation)
+        row = rows[p.dist]
         succs: list[tuple[Fraction, Config]] = []
         total = Fraction(0)
         for k, prob in enumerate(row):
@@ -186,7 +171,7 @@ def step(
         branch = p.then_branch if guard_satisfies(env, p.guard) else p.else_branch
         return [(Fraction(1), Running(branch, sigma))], Fraction(0)
     if isinstance(p, Seq):
-        inner, residual = step(Running(p.first, sigma), alphabet, truncation, pmfs)
+        inner, residual = step(Running(p.first, sigma), alphabet, truncation, rows)
         succs = []
         for w, c in inner:
             if isinstance(c, Terminated):
@@ -232,7 +217,7 @@ def enumerate_program(
     if truncation < 0:
         raise InvalidParameter(f"truncation must be nonnegative, got {truncation}")
     alphabet = alphabet if alphabet is not None else program_vars(p)
-    pmfs = _PmfTable(truncation)
+    rows: Rows = {}
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
 
     def outcome(root: Running) -> tuple[dict[Valuation, Fraction], Fraction, Fraction]:
@@ -243,7 +228,7 @@ def enumerate_program(
             cfg, expanded = stack.pop()
             if expanded is None:
                 if cfg not in memo:
-                    expanded = step(cfg, alphabet, truncation, pmfs)
+                    expanded = step(cfg, alphabet, truncation, rows)
                     stack.append((cfg, expanded))
                     stack.extend((c, None) for _, c in expanded[0] if isinstance(c, Running))
                 continue
@@ -269,7 +254,7 @@ def enumerate_program(
     report = OracleReport(alphabet=alphabet, truncation=truncation)
     for sigma, weight in start:
         if len(sigma) != len(alphabet):
-            raise ValueError(f"valuation {sigma} does not match alphabet {alphabet}")
+            raise InvalidParameter(f"valuation {sigma} does not match alphabet {alphabet}")
         term, viol, resid = outcome(Running(p, sigma))
         for sig, q in term.items():
             report.terminal[sig] = report.terminal.get(sig, Fraction(0)) + weight * q
@@ -281,42 +266,47 @@ def enumerate_program(
 # ---------------------------------------------------------------- sampling
 
 
-def _sample_dist(spec: DistSpec, rng: random.Random, pmf_cache: dict) -> int:
-    if isinstance(spec, Geometric):
-        p = float(spec.p)
-        k = 0
-        while rng.random() >= p:
-            k += 1
-        return k
-    if isinstance(spec, Bernoulli):
-        return 1 if rng.random() < float(spec.p) else 0
+def _sampler(spec: DistSpec, rng: random.Random) -> Callable[[], int]:
+    """A draw from the distribution, one `random()` per geometric or
+    Bernoulli trial; a custom file is read at its first draw."""
+    rand = rng.random
     if isinstance(spec, Dirac):
-        return spec.value
+        value = spec.value
+        return lambda: value
     if isinstance(spec, Uniform):
-        return rng.randrange(spec.size)
-    if isinstance(spec, Binomial):
-        p = float(spec.p)
-        return sum(1 for _ in range(spec.trials) if rng.random() < p)
-    if isinstance(spec, NegBinomial):
-        p = float(spec.p)
-        total = 0
-        for _ in range(spec.successes):
-            while rng.random() >= p:
-                total += 1
-        return total
+        return partial(rng.randrange, spec.size)
+    if isinstance(spec, (Bernoulli, Binomial)):
+        trials, p = range(getattr(spec, "trials", 1)), float(spec.p)
+
+        def successes() -> int:
+            k = 0
+            for _ in trials:
+                if rand() < p:
+                    k += 1
+            return k
+
+        return successes
+    if isinstance(spec, (Geometric, NegBinomial)):
+        rounds, p = range(getattr(spec, "successes", 1)), float(spec.p)
+
+        def failures() -> int:
+            k = 0
+            for _ in rounds:
+                while rand() >= p:
+                    k += 1
+            return k
+
+        return failures
     if isinstance(spec, Custom):
-        # inverse transform over the file's coefficients, extended on demand
-        pmf = pmf_cache.setdefault(spec, [])
-        u = rng.random()
-        k = 0
-        acc = 0.0
-        while True:
-            if k >= len(pmf):
-                pmf[:] = [float(p) for p in _custom_pmf(spec, max(2 * len(pmf), 16) - 1)]
-            acc += pmf[k]
-            if u < acc or acc >= 1.0:
-                return k
-            k += 1
+        cdf: list[float] = []
+
+        def inverse_transform() -> int:
+            u = rand()
+            while not cdf or cdf[-1] <= u:  # the row is extended on demand
+                cdf[:] = accumulate(map(float, pmf_row(spec, max(2 * len(cdf), 16) - 1)))
+            return bisect_right(cdf, u)
+
+        return inverse_transform
     raise TypeError(f"cannot sample {spec!r}")
 
 
@@ -344,49 +334,55 @@ def mc_sample(p: Program, samples: int, seed: int) -> McReport:
         raise InvalidParameter(f"sample count must be nonnegative, got {samples}")
     alphabet = program_vars(p)
     rng = random.Random(seed)
-    index = {v: i for i, v in enumerate(alphabet)}
-    pmf_cache: dict = {}
+    env = dict.fromkeys(alphabet, 0)
+    draw = cache(lambda spec: _sampler(spec, rng))  # one sampler per distribution
 
-    def run(prog: Program, sigma: list[int]) -> bool:
-        """Execute in place; False on a violated observation."""
+    def compile_(prog: Program) -> Callable[[], bool]:
+        """A closure that runs `prog` on `env` in place; False on a violated
+        observation."""
         if isinstance(prog, Seq):
-            return run(prog.first, sigma) and run(prog.second, sigma)
+            first, second = compile_(prog.first), compile_(prog.second)
+            return lambda: first() and second()
+        if isinstance(prog, Observe):
+            return partial(guard_satisfies, env, prog.guard)
+        if isinstance(prog, Choice):
+            left, right, prob = compile_(prog.left), compile_(prog.right), float(prog.prob)
+            return lambda: left() if rng.random() < prob else right()
+        if isinstance(prog, IfElse):
+            then, other, g = compile_(prog.then_branch), compile_(prog.else_branch), prog.guard
+            return lambda: then() if guard_satisfies(env, g) else other()
+        var = getattr(prog, "var", None)  # every other statement sets one variable
         if isinstance(prog, SetZero):
-            sigma[index[prog.var]] = 0
+            value: Callable[[], int] = lambda: 0
         elif isinstance(prog, IncrConst):
-            sigma[index[prog.var]] += prog.amount
+            value = lambda amount=prog.amount: env[var] + amount
         elif isinstance(prog, IncrVar):
-            sigma[index[prog.var]] += sigma[index[prog.source]]
+            value = lambda source=prog.source: env[var] + env[source]
         elif isinstance(prog, IncrDist):
-            sigma[index[prog.var]] += _sample_dist(prog.dist, rng, pmf_cache)
+            sample = draw(prog.dist)
+            value = lambda: env[var] + sample()
         elif isinstance(prog, IncrIid):
-            n = sigma[index[prog.count_var]]
-            total = 0
-            for _ in range(n):
-                total += _sample_dist(prog.dist, rng, pmf_cache)
-            sigma[index[prog.var]] += total
+            sample, count = draw(prog.dist), prog.count_var
+            value = lambda: env[var] + sum([sample() for _ in range(env[count])])
         elif isinstance(prog, Decrement):
-            i = index[prog.var]
-            sigma[i] = max(sigma[i] - 1, 0)
-        elif isinstance(prog, Observe):
-            return guard_satisfies(dict(zip(alphabet, sigma)), prog.guard)
-        elif isinstance(prog, Choice):
-            branch = prog.left if rng.random() < float(prog.prob) else prog.right
-            return run(branch, sigma)
-        elif isinstance(prog, IfElse):
-            env = dict(zip(alphabet, sigma))
-            branch = prog.then_branch if guard_satisfies(env, prog.guard) else prog.else_branch
-            return run(branch, sigma)
+            value = lambda: max(env[var] - 1, 0)
         else:
             raise TypeError(f"not a program: {prog!r}")
-        return True
 
+        def assign() -> bool:
+            env[var] = value()
+            return True
+
+        return assign
+
+    run = compile_(p)
+    zero = dict(env)
     counts: dict[Valuation, int] = {}
     violations = 0
     for _ in range(samples):
-        sigma = [0] * len(alphabet)
-        if run(p, sigma):
-            key = tuple(sigma)
+        env.update(zero)
+        if run():
+            key = tuple(env.values())
             counts[key] = counts.get(key, 0) + 1
         else:
             violations += 1

@@ -60,7 +60,7 @@ def _as_fraction(value: Union[int, Fraction], what: str) -> Fraction:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise InvalidWeight(f"{what} must be a rational, got {type(value).__name__}")
         value = Fraction(value)
-    if value < 0:
+    if value.numerator < 0:
         raise InvalidWeight(f"{what} must be nonnegative, got {value}")
     return value
 

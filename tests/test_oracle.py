@@ -6,12 +6,15 @@ as an explicit residual. Everything it reports therefore brackets the exact
 value from below.
 """
 
+import hashlib
+import importlib
 from fractions import Fraction
 from math import comb, sqrt
 
 import pytest
 
 from redip import (
+    Bernoulli,
     Binomial,
     Edge,
     Geometric,
@@ -24,13 +27,18 @@ from redip import (
     parse_program,
     save_pga,
 )
-from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidAutomaton, UnsupportedIid
+from redip.errors import (
+    CustomMassNotOne,
+    CustomNotNormalized,
+    InvalidAutomaton,
+    InvalidParameter,
+    UnsupportedIid,
+)
 from redip.lang import Observe
 from redip.oracle import (
     Running,
     Terminated,
     Violation,
-    _PmfTable,
     dist_pmf,
     mc_sample,
     prior_support,
@@ -44,6 +52,15 @@ INSURANCE = (
     "{r := 0} [9/10] {r := 1}; "
     "if (r == 0) {x += negbinomial(1, 1/2)} else {x += negbinomial(2, 1/2)}; "
     "observe(x >= 2)"
+)
+
+EVERY_STATEMENT = (
+    "a += geometric(1/2); b += bernoulli(1/3); c += dirac(2);"
+    "{ c += uniform(3) } [1/2] { c += binomial(3, 1/2) };"
+    "d += negbinomial(2, 1/2);"
+    "if (a >= 4) { a := 0 } else { b += a };"
+    "c -= 1; e += iid(bernoulli(1/2), c); d += 1;"
+    "observe(d % 2 == 1)"  # rejects 4/9 of the runs
 )
 
 
@@ -142,6 +159,11 @@ def test_enumerate_with_weighted_start():
     assert rep.terminal == {(0, 0): H, (2, 2): H}
 
 
+def test_enumerate_refuses_a_start_valuation_off_the_alphabet():
+    with pytest.raises(InvalidParameter, match="does not match alphabet"):
+        enumerate_program(parse_program("x += 1"), start=[((0, 0), ONE)])
+
+
 def test_enumerate_observe_false_is_all_violation():
     rep = enumerate_program(parse_program("x := 0; observe(x >= 1)"))
     assert rep.terminal == {}
@@ -171,11 +193,24 @@ def test_enumerate_hashes_each_statement_a_bounded_number_of_times(monkeypatch, 
 # ----- pmf helpers
 
 
-def test_pmf_table_caches_rows():
-    t = _PmfTable(5)
-    row = t.row(Geometric(H))
-    assert row == [H ** (k + 1) for k in range(6)]
-    assert t.row(Geometric(H)) is row
+def test_enumeration_builds_each_distribution_row_once(monkeypatch):
+    """The geometric is drawn twice, the second time from six valuations,
+    and the Bernoulli from six: still one row each."""
+    oracle = importlib.import_module("redip.oracle")
+    calls = []
+    real = oracle.pmf_row
+
+    def counting(spec, bound):
+        calls.append((spec, bound))
+        return real(spec, bound)
+
+    monkeypatch.setattr(oracle, "pmf_row", counting)
+    p = parse_program(
+        "x += geometric(1/2); { x += geometric(1/2) } [1/2] { x += bernoulli(1/3) }"
+    )
+    rep = enumerate_program(p, truncation=5)
+    assert calls == [(Geometric(H), 5), (Bernoulli(Fraction(1, 3)), 5)]
+    assert rep.terminal_mass + rep.residual == 1
 
 
 def test_dist_pmf_binomial_row_sums_to_one():
@@ -301,14 +336,7 @@ def test_mc_matches_inference_on_every_statement_and_distribution():
     """Every statement form and every built-in distribution, sampled: the
     acceptance rate estimates z, and each variable's sampled marginal the
     exact one, both within 4 standard errors."""
-    p = parse_program(
-        "a += geometric(1/2); b += bernoulli(1/3); c += dirac(2);"
-        "{ c += uniform(3) } [1/2] { c += binomial(3, 1/2) };"
-        "d += negbinomial(2, 1/2);"
-        "if (a >= 4) { a := 0 } else { b += a };"
-        "c -= 1; e += iid(bernoulli(1/2), c); d += 1;"
-        "observe(d % 2 == 1)"  # rejects 4/9 of the runs
-    )
+    p = parse_program(EVERY_STATEMENT)
     post = infer(p)
     samples = 40_000
     rep = mc_sample(p, samples, seed=2024)
@@ -325,6 +353,16 @@ def test_mc_matches_inference_on_every_statement_and_distribution():
             q = float(q)
             got = hits[k] / rep.accepted
             assert abs(got - q) <= 4 * sqrt(q * (1 - q) / rep.accepted), (var, k)
+
+
+def test_mc_counts_are_pinned_at_a_seed():
+    """The sampler's rng calls are fixed: one `random()` per geometric,
+    negative-binomial, Bernoulli or binomial trial, `randrange` for a uniform,
+    one `random()` per choice and per custom draw. So a seed's counts stay
+    the same from version to version; the digest pins them."""
+    rep = mc_sample(parse_program(EVERY_STATEMENT), 2_000, seed=2024)
+    digest = hashlib.sha256(repr(sorted(rep.counts.items())).encode()).hexdigest()[:16]
+    assert (rep.accepted, rep.violations, digest) == (1136, 864, "3a196c87f256af33")
 
 
 # ----- custom distributions
