@@ -2,17 +2,18 @@
 
 A guard constrains a valuation. Core connectives are threshold atoms
 (var < bound), congruence atoms (var % modulus == residue, modulus > residue),
-conjunction, and negation; every surface comparison desugars to these.
-`build_guard_dfa` is the one compiler from a guard to a complete DFA over the
-alphabet whose language contains exactly the words whose per-variable letter
-counts satisfy the guard, so the language is closed under permutation. Every
-`GuardDfa` is built in this module from a checked guard, so it is complete by
-construction.
+conjunction, and negation; `compare_guard` turns every surface comparison
+into these. `build_guard_dfa` is the one compiler from a guard to a complete
+DFA over the alphabet whose language contains exactly the words whose
+per-variable letter counts satisfy the guard, so the language is closed under
+permutation. Every `GuardDfa` is built in this module from a checked guard,
+so it is complete by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .errors import GuardConstraintError, UnknownVariable
@@ -97,6 +98,19 @@ def guard_negate(g: Guard) -> Guard:
     return Not(g)
 
 
+def compare_guard(var: str, op: str, n: int) -> Guard:
+    """`var op n` for op in < <= > >= == !=, as core atoms: the one place a
+    comparison becomes thresholds."""
+    if op in ("<", ">="):
+        lt = LessThan(var, n)
+        return lt if op == "<" else Not(lt)
+    if op in ("<=", ">"):
+        le = LessThan(var, n + 1)
+        return le if op == "<=" else Not(le)
+    eq = And(LessThan(var, n + 1), Not(LessThan(var, n)))
+    return eq if op == "==" else Not(eq)
+
+
 def equality_guard(valuation: Mapping[str, int], alphabet: Sequence[str]) -> Guard:
     """var == n for every alphabet variable, as a conjunction of core atoms."""
     atoms: list[Guard] = []
@@ -104,14 +118,8 @@ def equality_guard(valuation: Mapping[str, int], alphabet: Sequence[str]) -> Gua
         n = valuation.get(var, 0)
         if n < 0:
             raise GuardConstraintError(f"negative target {n} for {var}")
-        eq: Guard = LessThan(var, n + 1)
-        if n > 0:
-            eq = And(eq, Not(LessThan(var, n)))
-        atoms.append(eq)
-    out = atoms[0]
-    for g in atoms[1:]:
-        out = And(out, g)
-    return out
+        atoms.append(compare_guard(var, "==", n))
+    return reduce(And, atoms)
 
 
 @dataclass(frozen=True)

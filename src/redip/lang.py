@@ -3,7 +3,9 @@
 Core statements (everything the translator and the reference interpreter
 understand) are: set a variable to zero, add a constant / another variable /
 a distribution sample / an iid sum of samples, decrement, observe a guard,
-probabilistic choice, conditional, and sequencing.
+probabilistic choice, conditional, and sequencing. `Program` declares that
+set once; `program_size` and `program_vars` read one table of each
+statement's fields, built from it.
 
 Surface conveniences are rewritten into core nodes as they are parsed, in
 one pass; the sugar that needs a variable binds to x0, the first variable
@@ -12,9 +14,10 @@ token of the program (`x` when there is none):
 * `skip`               -> `x0 += 0`
 * `x := e` (linear e)  -> set-to-zero plus increments; a self-reference with
                           coefficient one skips the set-to-zero
-* `<=, ==, !=, >, >=`  -> threshold atoms, conjunction, negation
+* comparisons          -> threshold atoms, conjunction and negation, built
+                          by `guards.compare_guard`
 * `g or h`             -> `not (not g and not h)`
-* `true` / `false`     -> tautology / contradiction over x0
+* `true` / `false`     -> `x0 >= 0` / `x0 < 0`, built the same way
 
 Programs are plain text, one statement chain separated by `;`, with `{}`
 blocks, `//` line comments, and UTF-8 encoding. Nesting is capped at 100
@@ -27,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union, get_args
 
 from .dists import (
     Bernoulli,
@@ -40,7 +43,7 @@ from .dists import (
     Uniform,
 )
 from .errors import InvalidParameter, ProbabilityRangeError, RedipSyntaxError, UnknownVariable
-from .guards import And, Guard, LessThan, ModEq, Not, guard_negate, guard_vars
+from .guards import And, Guard, LessThan, ModEq, Not, compare_guard, guard_negate, guard_vars
 
 # ---------------------------------------------------------------- core AST
 
@@ -106,79 +109,65 @@ def _hash_once(cls):
 @_hash_once
 @dataclass(frozen=True)
 class Choice:
-    left: "Program"
+    left: Program
     prob: Fraction
-    right: "Program"
+    right: Program
 
 
 @_hash_once
 @dataclass(frozen=True)
 class IfElse:
     guard: Guard
-    then_branch: "Program"
-    else_branch: "Program"
+    then_branch: Program
+    else_branch: Program
 
 
 @_hash_once
 @dataclass(frozen=True)
 class Seq:
-    first: "Program"
-    second: "Program"
+    first: Program
+    second: Program
 
 
 Program = Union[
     SetZero, IncrConst, IncrDist, IncrVar, IncrIid, Decrement, Observe, Choice, IfElse, Seq
 ]
 
-_BASE_STATEMENTS = (SetZero, IncrConst, IncrDist, IncrVar, IncrIid, Decrement, Observe)
+# The statement set is declared once, as `Program`. The walks read each
+# statement's fields from this table: a child statement, a guard, or, when it
+# is a `str`, a variable. Annotations are deferred, so `f.type` is their text.
+_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    cls: tuple((f.name, f.type) for f in fields(cls) if f.type in ("Program", "Guard", "str"))
+    for cls in get_args(Program)
+}
+
+
+def _fields(p: Program) -> tuple[tuple[str, str], ...]:
+    try:
+        return _FIELDS[type(p)]
+    except KeyError:
+        raise TypeError(f"not a program: {p!r}") from None
 
 
 def program_size(p: Program) -> int:
     """Statement count: sequencing adds, branching adds one for the split."""
-    if isinstance(p, Seq):
-        return program_size(p.first) + program_size(p.second)
-    if isinstance(p, Choice):
-        return 1 + program_size(p.left) + program_size(p.right)
-    if isinstance(p, IfElse):
-        return 1 + program_size(p.then_branch) + program_size(p.else_branch)
-    if isinstance(p, _BASE_STATEMENTS):
-        return 1
-    raise TypeError(f"not a program: {p!r}")
+    children = sum(program_size(getattr(p, n)) for n, kind in _fields(p) if kind == "Program")
+    return children + (type(p) is not Seq)
 
 
 def program_vars(p: Program) -> tuple[str, ...]:
     """Variables in order of first appearance; this is the program alphabet."""
-    out: list[str] = []
-
-    def add(v: str) -> None:
-        if v not in out:
-            out.append(v)
+    out: dict[str, None] = {}
 
     def walk(node: Program) -> None:
-        if isinstance(node, (SetZero, IncrConst, IncrDist, Decrement)):
-            add(node.var)
-        elif isinstance(node, IncrVar):
-            add(node.var)
-            add(node.source)
-        elif isinstance(node, IncrIid):
-            add(node.var)
-            add(node.count_var)
-        elif isinstance(node, Observe):
-            for v in guard_vars(node.guard):
-                add(v)
-        elif isinstance(node, Choice):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, IfElse):
-            for v in guard_vars(node.guard):
-                add(v)
-            walk(node.then_branch)
-            walk(node.else_branch)
-        elif isinstance(node, Seq):
-            walk(node.first)
-            walk(node.second)
-        else:
-            raise TypeError(f"not a program: {node!r}")
+        for name, kind in _fields(node):
+            value = getattr(node, name)
+            if kind == "Program":
+                walk(value)
+            elif kind == "Guard":
+                out.update(dict.fromkeys(guard_vars(value)))
+            else:
+                out[value] = None
 
     walk(p)
     return tuple(out)
@@ -516,9 +505,9 @@ class _Parser:
     def guard_primary(self) -> Guard:
         tok = self.cur
         if self.accept("KEYWORD", "true"):
-            return Not(LessThan(self.x0, 0))
+            return compare_guard(self.x0, ">=", 0)
         if self.accept("KEYWORD", "false"):
-            return LessThan(self.x0, 0)
+            return compare_guard(self.x0, "<", 0)
         if self.accept("OP", "("):
             self.descend(tok)
             g = self.guard()
@@ -543,24 +532,8 @@ class _Parser:
             return ModEq(var, modulus, residue)
         for op in ("<=", ">=", "==", "!=", "<", ">"):
             if self.accept("OP", op):
-                n = self.natural()
-                return _compare(var, op, n)
+                return compare_guard(var, op, self.natural())
         raise self.error("expected a comparison operator", op_tok)
-
-
-def _compare(var: str, op: str, n: int) -> Guard:
-    if op == "<":
-        return LessThan(var, n)
-    if op == "<=":
-        return LessThan(var, n + 1)
-    if op == ">":
-        return Not(LessThan(var, n + 1))
-    if op == ">=":
-        return Not(LessThan(var, n))
-    eq: Guard = And(LessThan(var, n + 1), Not(LessThan(var, n)))
-    if op == "==":
-        return eq
-    return Not(eq)
 
 
 def parse_program(source: str) -> Program:
@@ -640,10 +613,7 @@ def _stmt_list(p: Program) -> Iterator[Program]:
 
 
 def program_to_text(p: Program, indent: str = "") -> str:
-    lines = []
-    for stmt in _stmt_list(p):
-        lines.append(_stmt_text(stmt, indent))
-    return ";\n".join(lines)
+    return ";\n".join(_stmt_text(stmt, indent) for stmt in _stmt_list(p))
 
 
 def _stmt_text(p: Program, indent: str) -> str:

@@ -115,14 +115,18 @@ def pga_to_json(a: Pga) -> str:
 def pga_from_json(text: str) -> Pga:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or a number past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too long a number, or too deep
         raise PgaParseError(f"invalid JSON: {exc}") from exc
     return pga_from_dict(data)
 
 
 def load_pga(path: str) -> Pga:
     with open(path, "r", encoding="utf-8") as fh:
-        return pga_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PgaParseError(f"not UTF-8: {exc}") from exc
+    return pga_from_json(text)
 
 
 def save_pga(a: Pga, path: str) -> None:

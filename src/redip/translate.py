@@ -20,8 +20,10 @@ After every construction the automaton is trimmed, then contracted: each
 unlabeled arc that is a state's only way out or in is folded into its
 neighbours, so the bridges of concat, transition-subst and `x--` do not pile
 up. A step records its raw size, checked against theory's growth bounds, and
-the edges and states it keeps. The product is the construction for
-`observe`, `if` and (inside it) `x--`; no query builds it.
+the edges and states it keeps. A statement's step is named by its printed
+text, `program_to_text`; the choice, filter and join steps name their split.
+The product is the construction for `observe`, `if` and (inside it) `x--`;
+no query builds it.
 
 The queries on a translated automaton are masses too: `guard_mass` takes the
 mass under the guard's DFA as a filter, which solves over the useful pairs
@@ -67,8 +69,8 @@ from .lang import (
     Program,
     Seq,
     SetZero,
-    dist_to_text,
     guard_to_text,
+    program_to_text,
     program_vars,
 )
 from .pga import Pga, contract, extend_alphabet, make_pga, trim, unit_pga
@@ -109,38 +111,6 @@ class _Translator:
         alpha = self.alphabet
         if isinstance(p, Seq):
             return self.apply(self.apply(a, p.first), p.second)
-        if isinstance(p, SetZero):
-            return self.record("subst-one", f"{p.var} := 0", label_subst_one(a, p.var))
-        if isinstance(p, IncrConst):
-            chain = build_dist_pga(Dirac(p.amount), p.var, alpha)
-            return self.record("concat", f"{p.var} += {p.amount}", concat(a, chain))
-        if isinstance(p, IncrDist):
-            d = build_dist_pga(p.dist, p.var, alpha)
-            return self.record(
-                "concat", f"{p.var} += {dist_to_text(p.dist)}", concat(a, d)
-            )
-        if isinstance(p, IncrVar):
-            gadget = make_pga(alpha, 3, [(0, 1, 1, p.source), (1, 2, 1, p.var)], {0: 1}, {2: 1})
-            return self.record(
-                "transition-subst",
-                f"{p.var} += {p.source}",
-                transition_subst(a, p.source, gadget),
-            )
-        if isinstance(p, IncrIid):
-            one_count = make_pga(alpha, 2, [(0, 1, 1, p.count_var)], {0: 1}, {1: 1})
-            gadget = concat(one_count, build_dist_pga(p.dist, p.var, alpha))
-            return self.record(
-                "transition-subst",
-                f"{p.var} += iid({dist_to_text(p.dist)}, {p.count_var})",
-                transition_subst(a, p.count_var, gadget),
-            )
-        if isinstance(p, Decrement):
-            return self.record("decrement", f"{p.var}--", decrement(a, p.var))
-        if isinstance(p, Observe):
-            dfa = build_guard_dfa(p.guard, alpha)
-            return self.record(
-                "product", f"observe({guard_to_text(p.guard)})", product(a, dfa)
-            )
         if isinstance(p, Choice):
             left = self.apply(a, p.left)
             right = self.apply(a, p.right)
@@ -160,7 +130,25 @@ class _Translator:
             else_out = self.apply(else_in, p.else_branch)
             raw = weighted_union(then_out, else_out, Fraction(1), Fraction(1))
             return self.record("union", "if-join", raw)
-        raise TypeError(f"not a program: {p!r}")
+        if isinstance(p, SetZero):
+            name, raw = "subst-one", label_subst_one(a, p.var)
+        elif isinstance(p, (IncrConst, IncrDist)):
+            dist = Dirac(p.amount) if isinstance(p, IncrConst) else p.dist
+            name, raw = "concat", concat(a, build_dist_pga(dist, p.var, alpha))
+        elif isinstance(p, IncrVar):
+            gadget = make_pga(alpha, 3, [(0, 1, 1, p.source), (1, 2, 1, p.var)], {0: 1}, {2: 1})
+            name, raw = "transition-subst", transition_subst(a, p.source, gadget)
+        elif isinstance(p, IncrIid):
+            one_count = make_pga(alpha, 2, [(0, 1, 1, p.count_var)], {0: 1}, {1: 1})
+            gadget = concat(one_count, build_dist_pga(p.dist, p.var, alpha))
+            name, raw = "transition-subst", transition_subst(a, p.count_var, gadget)
+        elif isinstance(p, Decrement):
+            name, raw = "decrement", decrement(a, p.var)
+        elif isinstance(p, Observe):
+            name, raw = "product", product(a, build_guard_dfa(p.guard, alpha))
+        else:
+            raise TypeError(f"not a program: {p!r}")
+        return self.record(name, program_to_text(p), raw)
 
 
 def working_alphabet(p: Program, prior: Optional[Pga]) -> tuple[str, ...]:
@@ -223,7 +211,10 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
 
 def guard_mass(a: Pga, g: Guard) -> Fraction:
     """Mass of the runs of `a` whose final valuation satisfies the guard."""
-    value = mass(a, build_guard_dfa(g, a.alphabet))
+    return _finite(mass(a, build_guard_dfa(g, a.alphabet)))
+
+
+def _finite(value: Fraction) -> Fraction:
     if not is_finite(value):
         raise InfiniteMass("guard query diverges; automaton has unbounded mass")
     return value
@@ -238,6 +229,8 @@ def coefficient(a: Pga, valuation: Mapping[str, int]) -> Fraction:
                 raise UnknownVariable(f"{var!r} not in alphabet {a.alphabet}")
         elif count < 0:
             raise InvalidParameter(f"negative count {count} for {var}")
+    if not a.alphabet:  # a series over no variables has one coefficient, its mass
+        return _finite(mass(a))
     return guard_mass(a, equality_guard(valuation, a.alphabet))
 
 

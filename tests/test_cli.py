@@ -205,6 +205,23 @@ def test_query_file_with_unhashable_symbol_exit_code(tmp_path, capsys):
     assert "file error: edge symbol ['x'] not in alphabet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"], ids=["deep", "not-utf8"]
+)
+def test_query_malformed_file_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["query", str(path), "--at", "x=0"]) == 3
+    assert capsys.readouterr().err.startswith("file error:")
+
+
+def test_query_coefficient_over_the_empty_alphabet(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(pga_to_json(make_pga((), 1, [], {0: Fraction(1)}, {0: Fraction(1, 2)})))
+    assert main(["query", str(path), "--at", "x=0"]) == 0
+    assert capsys.readouterr().out == "coefficient at x=0: 1/2 (= 0.5)\n"
+
+
 # a number one digit past int()'s default limit of 4,300 digits
 LONG = "1" * 5001
 

@@ -22,6 +22,7 @@ from redip import (
 )
 from redip.errors import GuardConstraintError, UnknownVariable
 from redip.guards import (
+    compare_guard,
     dfa_complement,
     dfa_less_than,
     dfa_mod,
@@ -224,6 +225,31 @@ def test_equality_guard_pins_every_variable():
 def test_equality_guard_rejects_negative():
     with pytest.raises(GuardConstraintError):
         equality_guard({"x": -2}, ALPHA)
+
+
+OPERATORS = {
+    "<": lambda v, n: v < n,
+    "<=": lambda v, n: v <= n,
+    ">": lambda v, n: v > n,
+    ">=": lambda v, n: v >= n,
+    "==": lambda v, n: v == n,
+    "!=": lambda v, n: v != n,
+}
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+def test_compare_guard_agrees_with_arithmetic(op):
+    for n in range(4):
+        g = compare_guard("x", op, n)
+        for v in range(n + 3):
+            assert guard_satisfies({"x": v}, g) == OPERATORS[op](v, n), (op, n, v)
+
+
+@pytest.mark.parametrize("alphabet", [("x",), ("x", "y"), ("y", "x", "z")])
+def test_equality_at_zero_compiles_to_the_threshold_dfa(alphabet):
+    # x == 0 is `x < 1 and not x < 0`; its DFA equals the one of `x < 1`
+    eq = build_guard_dfa(compare_guard("x", "==", 0), alphabet)
+    assert eq == build_guard_dfa(LessThan("x", 1), alphabet)
 
 
 def test_build_guard_dfa_requires_known_vars():

@@ -292,6 +292,13 @@ def test_program_vars_in_first_appearance_order():
     assert program_vars(p) == ("b", "a", "c")
 
 
+@pytest.mark.parametrize("walk", [program_size, program_vars])
+@pytest.mark.parametrize("node", ["x += 1", LessThan("x", 1), None])
+def test_program_walks_reject_a_non_program(walk, node):
+    with pytest.raises(TypeError, match="not a program"):
+        walk(node)
+
+
 # ----- standalone guard and valuation parsing
 
 

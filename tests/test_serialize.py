@@ -172,6 +172,18 @@ def test_invalid_json_text():
         pga_from_json("{nope")
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(PgaParseError, match="invalid JSON"):
+        pga_from_json("[" * 100_000 + "]" * 100_000)
+
+
+def test_undecodable_automaton_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(PgaParseError, match="not UTF-8"):
+        load_pga(str(path))
+
+
 def test_non_object_source():
     with pytest.raises(PgaParseError, match="expected an object"):
         pga_from_dict([1, 2])

@@ -1,5 +1,6 @@
 """Program-to-automaton translation and posterior inference."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from redip import (
     mass,
     parse_guard,
     parse_program,
+    program_size,
     translate,
     working_alphabet,
 )
-from redip.errors import InvalidAutomaton, InvalidParameter, UnknownVariable
+from redip.errors import InfiniteMass, InvalidAutomaton, InvalidParameter, UnknownVariable
+from redip.lang import program_vars
 from redip.oracle import dist_pmf
 
 H = Fraction(1, 2)
@@ -176,6 +179,48 @@ def test_step_records_cover_the_translation():
     assert res.steps[-1].post_trim_size == res.unnormalized.size
 
 
+# every base statement form once, then the three forms that split
+ALL_FORMS = (
+    "x := 0; x += 2; x += geometric(1/2); y += x; z += iid(custom(\"die.json\"), y); x--; "
+    "observe(z >= 1 and x != 1); "
+    "if (x == 0) {y += bernoulli(1/3)} else {skip}; {z--} [1/4] {y := x}"
+)
+DIE = {
+    "alphabet": ["x"],
+    "states": 2,
+    "edges": [{"src": 0, "dst": 1, "weight": "1/2", "symbol": "x"}],
+    "initial": {"0": "1"},
+    "final": {"0": "1/2", "1": "1"},
+}
+
+
+def test_each_step_is_named_by_its_printed_statement(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "die.json").write_text(json.dumps(DIE))
+    p = parse_program(ALL_FORMS)
+    # the custom file's path is a distribution argument, not a variable
+    assert program_vars(p) == ("x", "y", "z")
+    assert program_size(p) == 14
+    assert [(s.construction, s.detail) for s in infer(p).steps] == [
+        ("subst-one", "x := 0"),
+        ("concat", "x += 2"),
+        ("concat", "x += geometric(1/2)"),
+        ("transition-subst", "y += x"),
+        ("transition-subst", 'z += iid(custom("die.json"), y)'),
+        ("decrement", "x--"),
+        ("product", "observe((not (z < 1) and not ((x < 2 and not (x < 1)))))"),
+        ("product", "if-filter ((x < 1 and not (x < 0)))"),
+        ("product", "else-filter (not ((x < 1 and not (x < 0))))"),
+        ("concat", "y += bernoulli(1/3)"),
+        ("concat", "x += 0"),
+        ("union", "if-join"),
+        ("decrement", "z--"),
+        ("subst-one", "y := 0"),
+        ("transition-subst", "y += x"),
+        ("union", "choice [1/4]"),
+    ]
+
+
 def ladder(rounds):
     return ";\n".join(["x += bernoulli(1/2); x--"] * rounds)
 
@@ -220,3 +265,17 @@ def test_translation_keeps_prior_on_working_alphabet():
     t = translate(parse_program("x += 1"), prior=two_point_prior())
     assert t.prior.alphabet == t.alphabet == ("x", "y")
     assert t.prior_mass == 1
+
+
+# ----- an automaton over no variables
+
+
+def test_coefficient_over_the_empty_alphabet_is_the_mass():
+    a = make_pga((), 2, [Edge(0, 1, Fraction(1, 3))], {0: ONE}, {0: H, 1: ONE})
+    assert coefficient(a, {}) == coefficient(a, {"x": 0}) == Fraction(5, 6)
+    assert coefficient(a, {}) == coefficient_table(a, {})[()]
+    with pytest.raises(UnknownVariable):
+        coefficient(a, {"x": 1})
+    loop = make_pga((), 1, [Edge(0, 0, ONE)], {0: ONE}, {0: ONE})
+    with pytest.raises(InfiniteMass):
+        coefficient(loop, {})
