@@ -11,10 +11,13 @@ coefficient at the all-zero valuation), and a SHA-256 prefix of the
 coefficient table with every posterior variable's count up to 3, the one
 answer that takes the multi-variable level path, and a SHA-256 prefix of the
 Monte-Carlo report `mc_sample(program, 200, seed=<line index>)`, on every
-line whose program parses. The corpus is the benchmark's
-small corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and
-m=18, a few programs heavy in syntactic sugar, and a few programs inferred
-from a prior automaton, one of whose priors has a dead and an unreachable
+line whose program parses. Every line carries `oracle=`, a SHA-256 prefix
+of the exit code, stdout and stderr of `redip oracle <program file> --trunc
+10` (with `--prior <file>` on the lines that start from a prior), run
+in-process through `redip.cli.main`. The corpus is the benchmark's small
+corpus for each seed given, geo-chain k=6 and k=14, dec-ladder m=8 and m=18,
+a few programs heavy in syntactic sugar, and a few programs inferred from a
+prior automaton, one of whose priors has a dead and an unreachable
 state. The output does not depend on PYTHONHASHSEED. Run it once per tree
 and compare:
 
@@ -23,15 +26,18 @@ and compare:
 
 With `--answers-only` the `posterior=` and `steps=` columns are left out, so
 the lines compare what a user can observe (z, the answers, the table, the
-program text, the sampled counts and the error messages) and not the automaton that carries them.
-That is the identity check for a change that reshapes the automaton, such as
-a reduction or a rewritten construction.
+program text, the sampled counts, the oracle's output and the error messages)
+and not the automaton that carries them. That is the identity check for a
+change that reshapes the automaton, such as a reduction or a rewritten
+construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -54,6 +60,7 @@ from redip import (  # noqa: E402
     parse_program,
     pga_to_json,
 )
+from redip.cli import main as redip_main  # noqa: E402
 from redip.lang import program_to_text  # noqa: E402
 from redip.oracle import mc_sample  # noqa: E402
 
@@ -137,6 +144,17 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def oracle_run(source: str, prior: str) -> str:
+    """`redip oracle --trunc 10` on the source, written to a file in the
+    working directory: its exit code, stdout and stderr."""
+    Path("program.redip").write_text(source, encoding="utf-8")
+    argv = ["oracle", "program.redip", "--trunc", "10"] + (["--prior", prior] if prior else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = redip_main(argv)
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
 def fingerprint(
     case: workloads.Case, seed: int, answers_only: bool = False, prior: str = ""
 ) -> str:
@@ -144,6 +162,7 @@ def fingerprint(
     prior's file, if any."""
     text = "-"
     mc = ""
+    oracle = f" oracle={digest(oracle_run(case.source, prior))}"
     try:
         p = parse_program(case.source)
         text = digest(program_to_text(p))
@@ -162,7 +181,7 @@ def fingerprint(
         answers.append(coefficient(posterior, dict.fromkeys(posterior.alphabet, 0)))
         table = coefficient_table(posterior, dict.fromkeys(posterior.alphabet, 3))
     except RedipError as exc:
-        return f"text={text}{mc} error={type(exc).__name__}: {exc}"
+        return f"text={text}{mc}{oracle} error={type(exc).__name__}: {exc}"
     columns = {
         "posterior": digest(pga_to_json(posterior)),
         "z": result.normalizing_constant,
@@ -173,7 +192,7 @@ def fingerprint(
     }
     if answers_only:
         del columns["posterior"], columns["steps"]
-    return " ".join(f"{name}={value}" for name, value in columns.items()) + mc
+    return " ".join(f"{name}={value}" for name, value in columns.items()) + mc + oracle
 
 
 def main() -> int:

@@ -33,11 +33,10 @@ from .lang import (
     program_to_text,
     program_vars,
 )
-from .oracle import compare, enumerate_program, mc_sample, prior_support
-from .pga import extend_alphabet
+from .oracle import compare, enumerate_program, mc_sample
 from .rational import decimal_str, format_ext, format_weight
 from .serialize import load_pga, pga_to_dot, save_pga
-from .translate import coefficient, guard_mass, infer, marginal, translate, working_alphabet
+from .translate import coefficient, guard_mass, infer, marginal, translate
 
 
 def _read_text(path: str) -> str:
@@ -166,8 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("not a probability automaton (mass exceeds 1 or diverges)")
         return 1
     p = _load_program(args.file)
-    alphabet = program_vars(p)
-    print(f"ok: {program_size(p)} statements over {', '.join(alphabet)}")
+    print(f"ok: {program_size(p)} statements over {', '.join(program_vars(p))}")
     return 0
 
 
@@ -175,8 +173,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.file.endswith(".json"):
         a = load_pga(args.file)
     else:
-        result = translate(_load_program(args.file))
-        a = result.automaton
+        a = translate(_load_program(args.file)).automaton
     text = pga_to_dot(a, name=args.name)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -187,6 +184,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    reads = {"enumerate": "--trunc --prior --digits", "compare": "--trunc --prior",
+             "mc": "--samples --seed --limit --digits --prior"}  # mc refuses --prior below
+    for flag in args.given:
+        if flag not in reads[args.mode].split():
+            raise InvalidParameter(f"--mode {args.mode} does not read {flag}")
     p = _load_program(args.file)
     prior = load_pga(args.prior) if args.prior else None
     digits = args.digits
@@ -216,9 +218,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             print(f"  {pairs}: {count} (~{count / max(report.accepted, 1):.{digits}f})")
         return 0
 
-    alphabet = working_alphabet(p, prior)
-    start = None if prior is None else prior_support(extend_alphabet(prior, alphabet))
-    report = enumerate_program(p, alphabet, args.trunc, start)
+    report = enumerate_program(p, None, args.trunc, prior)
     print(f"truncation: {report.truncation}")
     for sigma in sorted(report.terminal):
         pairs = ", ".join(f"{v}={k}" for v, k in zip(report.alphabet, sigma))
@@ -229,6 +229,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- wiring
+
+
+class _Given(argparse.Action):
+    """Stores the value and notes the flag in `given`: each oracle mode reads only some."""
+
+    def __call__(self, parser: argparse.ArgumentParser, namespace: argparse.Namespace,
+                 values: Any, flag: Optional[str] = None) -> None:
+        setattr(namespace, self.dest, values)
+        namespace.given += (flag,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         sp.add_argument("file", help=file_help)
         if digits:
-            sp.add_argument("--digits", type=int, default=6, help="decimal digits shown")
+            sp.add_argument("--digits", type=int, default=6, action=_Given, help="decimal digits")
         if as_json:
             sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, given=())
         return sp
 
     program_file, either_file = "program file, or - for stdin", "program file or automaton .json"
@@ -293,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("oracle", cmd_oracle, "reference interpreter and differential check",
                  program_file, digits=True)
     sp.add_argument("--mode", choices=("enumerate", "mc", "compare"), default="enumerate")
-    sp.add_argument("--prior", help="automaton JSON file used as the prior")
-    sp.add_argument("--trunc", type=int, default=40, help="sampling truncation bound")
-    sp.add_argument("--samples", type=int, default=100_000, help="mc sample count")
-    sp.add_argument("--seed", type=int, default=0, help="mc rng seed")
-    sp.add_argument("--limit", type=int, default=20, help="mc rows shown")
+    sp.add_argument("--prior", action=_Given, help="automaton JSON file used as the prior")
+    sp.add_argument("--trunc", type=int, default=40, action=_Given, help="draw truncation bound")
+    sp.add_argument("--samples", type=int, default=100_000, action=_Given, help="mc sample count")
+    sp.add_argument("--seed", type=int, default=0, action=_Given, help="mc rng seed")
+    sp.add_argument("--limit", type=int, default=20, action=_Given, help="mc rows shown")
 
     return top
 

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 from .analysis import mass
 from .constructions import concat
 from .errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter, UnknownVariable
-from .pga import Pga, extend_alphabet, make_pga, rename_variable, unit_pga
+from .pga import Pga, make_pga, unit_pga
 from .serialize import load_pga
 
 
@@ -151,6 +151,5 @@ def _build_custom(spec: Custom, var: str, alphabet: Sequence[str]) -> Pga:
     m = mass(loaded)
     if m != 1:
         raise CustomMassNotOne(f"{spec.path}: mass is {m}, expected exactly 1")
-    old = loaded.alphabet[0]
-    relettered = loaded if old == var else rename_variable(loaded, old, var)
-    return extend_alphabet(relettered, alphabet)
+    edges = [e._replace(symbol=var) if e.symbol else e for e in loaded.edges]
+    return make_pga(alphabet, loaded.num_states, edges, loaded.initial, loaded.final)

@@ -113,6 +113,8 @@ def compare_guard(var: str, op: str, n: int) -> Guard:
 
 def equality_guard(valuation: Mapping[str, int], alphabet: Sequence[str]) -> Guard:
     """var == n for every alphabet variable, as a conjunction of core atoms."""
+    if not alphabet:
+        raise GuardConstraintError("an equality guard needs a variable; the alphabet is empty")
     atoms: list[Guard] = []
     for var in alphabet:
         n = valuation.get(var, 0)

@@ -51,7 +51,7 @@ from .lang import (
     SetZero,
     program_vars,
 )
-from .pga import Edge, Pga, trim
+from .pga import Edge, Pga, extend_alphabet, trim
 
 Valuation = tuple[int, ...]
 Rows = dict[DistSpec, list[Fraction]]  # each distribution's pmf_row
@@ -204,19 +204,22 @@ def enumerate_program(
     p: Program,
     alphabet: Optional[tuple[str, ...]] = None,
     truncation: int = 40,
-    start: Optional[list[tuple[Valuation, Fraction]]] = None,
+    prior: Optional[Pga] = None,
 ) -> OracleReport:
     """Exact outcome distribution by exhausting every configuration.
 
     Program size strictly shrinks along each step, so the configuration graph
     is a DAG and outcomes can be memoized per configuration; the graph is
-    walked with an explicit stack, so long programs do not recurse. `start` is a
-    weighted list of initial valuations (a prior's support); default is the
-    all-zero valuation with weight one.
+    walked with an explicit stack, so long programs do not recurse. Runs start
+    from the support of the acyclic automaton `prior`, or from the all-zero
+    valuation; the default alphabet is `translate`'s `working_alphabet`.
     """
     if truncation < 0:
         raise InvalidParameter(f"truncation must be nonnegative, got {truncation}")
-    alphabet = alphabet if alphabet is not None else program_vars(p)
+    if alphabet is None:
+        from .translate import working_alphabet
+
+        alphabet = working_alphabet(p, prior)
     rows: Rows = {}
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
 
@@ -249,12 +252,10 @@ def enumerate_program(
             memo[cfg] = (term, viol, resid)
         return memo[root]
 
-    if start is None:
-        start = [((0,) * len(alphabet), Fraction(1))]
+    zero = [((0,) * len(alphabet), Fraction(1))]
+    start = zero if prior is None else prior_support(extend_alphabet(prior, alphabet))
     report = OracleReport(alphabet=alphabet, truncation=truncation)
     for sigma, weight in start:
-        if len(sigma) != len(alphabet):
-            raise InvalidParameter(f"valuation {sigma} does not match alphabet {alphabet}")
         term, viol, resid = outcome(Running(p, sigma))
         for sig, q in term.items():
             report.terminal[sig] = report.terminal.get(sig, Fraction(0)) + weight * q
@@ -448,7 +449,7 @@ def compare(
     prior: Optional[Pga] = None,
     truncation: int = 60,
 ) -> ComparisonResult:
-    """Differential check of the automaton translation against enumeration.
+    """Differential check of the translation against enumeration, both from `prior`.
 
     With residual mass rho lost to truncation, the oracle's coefficient L and
     the automaton's coefficient C must satisfy L <= C <= L + rho for every
@@ -459,10 +460,7 @@ def compare(
 
     tr = translate(p, prior)
     alphabet = tr.alphabet
-    # tr.prior already lives on the working alphabet, so its support
-    # valuations line up with the oracle's
-    start = None if prior is None else prior_support(tr.prior)
-    report = enumerate_program(p, alphabet, truncation, start)
+    report = enumerate_program(p, alphabet, truncation, prior)
     rho = report.residual
 
     mismatches: list[str] = []

@@ -134,17 +134,6 @@ def unit_pga(alphabet: Sequence[str]) -> Pga:
     return make_pga(alphabet, 1, [], {0: 1}, {0: 1})
 
 
-def rename_variable(a: Pga, old: str, new: str) -> Pga:
-    """Rename one alphabet variable (used to re-letter custom distributions)."""
-    if old not in a.alphabet:
-        raise InvalidAutomaton(f"{old!r} not in alphabet {a.alphabet}")
-    if new in a.alphabet and new != old:
-        raise InvalidAutomaton(f"{new!r} already in alphabet {a.alphabet}")
-    alpha = tuple(new if v == old else v for v in a.alphabet)
-    edges = [e._replace(symbol=new) if e.symbol == old else e for e in a.edges]
-    return make_pga(alpha, a.num_states, edges, a.initial, a.final)
-
-
 def extend_alphabet(a: Pga, alphabet: Sequence[str]) -> Pga:
     """Re-host the automaton on a larger alphabet (no edges are touched)."""
     missing = [v for v in a.alphabet if v not in alphabet]

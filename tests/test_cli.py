@@ -361,6 +361,37 @@ def test_oracle_mc_refuses_a_prior(prior_file, tmp_path, capsys):
     assert "takes no --prior" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("enumerate", ["--samples", "5", "--seed", "3", "--limit", "1"]),
+        ("compare", ["--digits", "3"]),
+        ("mc", ["--trunc", "3"]),
+    ],
+)
+def test_oracle_refuses_flags_its_mode_does_not_read(program, capsys, mode, flags):
+    assert main(["oracle", program, "--mode", mode, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --mode {mode} does not read {flags[0]}\n"
+    assert captured.out == ""
+
+
+def test_oracle_modes_read_their_own_flags(prior_file, tmp_path, capsys):
+    p = tmp_path / "coin.redip"
+    p.write_text("x += bernoulli(1/3)\n")
+    assert main(["oracle", str(p), "--trunc", "3", "--prior", prior_file, "--digits", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "truncation: 3" in out and "  x=1, y=2: 1/6 (= 0.17)" in out
+    assert main(["oracle", str(p), "--mode", "compare", "--trunc", "3", "--prior", prior_file]) == 0
+    assert "ok: translation agrees with enumeration" in capsys.readouterr().out
+    mc = ["--mode", "mc", "--samples", "7", "--seed", "3", "--limit", "1", "--digits", "2"]
+    assert main(["oracle", str(p), *mc]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "samples: 7, accepted: 7, violations: 0",
+        "  x=0: 4 (~0.57)",
+    ]
+
+
 def test_oracle_mc_deterministic(tmp_path, capsys):
     p = tmp_path / "iid.redip"
     p.write_text("y += 4; x += iid(bernoulli(1/2), y)\n")

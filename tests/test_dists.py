@@ -178,3 +178,25 @@ def test_custom_rejects_multi_variable_files(tmp_path):
     save_pga(a, path)
     with pytest.raises(CustomNotNormalized):
         build_dist_pga(Custom(path), "x", ("x",))
+
+
+@pytest.mark.parametrize("letter", ["t", "x"])
+def test_custom_file_is_relettered_and_hosted_in_one_build(tmp_path, letter):
+    """A file over another letter and one over the target letter itself build
+    the same automaton: every labeled edge is relabeled to the target, on the
+    program's alphabet; the literals are the ones the three-build loader gave."""
+    die = make_pga(
+        (letter,),
+        3,
+        [Edge(0, 1, H, letter), Edge(1, 2, H, letter), Edge(0, 2, Fraction(1, 4))],
+        {0: Fraction(1)},
+        {0: Fraction(1, 4), 1: H, 2: Fraction(1)},
+    )
+    path = str(tmp_path / "die.json")
+    save_pga(die, path)
+    a = build_dist_pga(Custom(path), "x", ("y", "x"))
+    assert a.alphabet == ("y", "x")
+    assert a.num_states == 3
+    assert a.edges == (Edge(0, 1, H, "x"), Edge(0, 2, Fraction(1, 4)), Edge(1, 2, H, "x"))
+    assert a.initial == {0: Fraction(1)}
+    assert a.final == {0: Fraction(1, 4), 1: H, 2: Fraction(1)}

@@ -28,6 +28,8 @@ def test_fingerprint_prints_one_line_per_program():
     assert all(" posterior=" in line or " error=" in line for line in lines)
     # every program parses, so every line carries the sampler's column
     assert all(re.search(r" mc=[0-9a-f]{16}( |$)", line) for line in lines)
+    # every line carries the oracle's column, error lines too
+    assert all(re.search(r" oracle=[0-9a-f]{16}( |$)", line) for line in lines)
 
 
 def test_answers_only_drops_the_automaton_columns():
@@ -35,6 +37,6 @@ def test_answers_only_drops_the_automaton_columns():
     assert len(answers) == len(full) == 619
     assert not any("posterior=" in line or "steps=" in line for line in answers)
     assert all(" z=" in line or " error=" in line for line in answers)
-    assert all(" mc=" in line for line in answers)
+    assert all(" mc=" in line and " oracle=" in line for line in answers)
     # every other column is kept as it is
     assert answers == [re.sub(r" (posterior|steps)=[0-9a-f]{16}", "", line) for line in full]

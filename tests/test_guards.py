@@ -227,6 +227,11 @@ def test_equality_guard_rejects_negative():
         equality_guard({"x": -2}, ALPHA)
 
 
+def test_equality_guard_refuses_the_empty_alphabet():
+    with pytest.raises(GuardConstraintError, match="alphabet is empty"):
+        equality_guard({}, ())
+
+
 OPERATORS = {
     "<": lambda v, n: v < n,
     "<=": lambda v, n: v <= n,

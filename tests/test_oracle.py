@@ -31,7 +31,6 @@ from redip.errors import (
     CustomMassNotOne,
     CustomNotNormalized,
     InvalidAutomaton,
-    InvalidParameter,
     UnsupportedIid,
 )
 from redip.lang import Observe
@@ -44,6 +43,7 @@ from redip.oracle import (
     prior_support,
     step,
 )
+from redip.translate import working_alphabet
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -152,16 +152,36 @@ def test_enumerate_insurance_brackets_the_inference_values():
 
 
 def test_enumerate_with_weighted_start():
-    p = parse_program("x += y")
-    rep = enumerate_program(
-        p, alphabet=("x", "y"), start=[((0, 0), H), ((0, 2), H)]
-    )
+    rep = enumerate_program(parse_program("x += y"), prior=two_point_prior())
     assert rep.terminal == {(0, 0): H, (2, 2): H}
 
 
-def test_enumerate_refuses_a_start_valuation_off_the_alphabet():
-    with pytest.raises(InvalidParameter, match="does not match alphabet"):
-        enumerate_program(parse_program("x += 1"), start=[((0, 0), ONE)])
+def test_enumerate_takes_the_working_alphabet_of_the_prior():
+    # a Bernoulli(1/2) prior over y, a variable the program never names
+    p = parse_program("x += 1")
+    prior = make_pga(("y",), 2, [Edge(0, 1, H, "y")], {0: ONE}, {0: H, 1: ONE})
+    rep = enumerate_program(p, prior=prior)
+    assert rep.alphabet == working_alphabet(p, prior) == ("x", "y")
+    assert rep.terminal == {(1, 0): H, (1, 1): H}
+    with pytest.raises(InvalidAutomaton, match="drops variables"):
+        enumerate_program(p, alphabet=("x",), prior=prior)
+
+
+def test_enumerate_from_a_prior_with_a_dead_and_an_unreachable_state():
+    # the fingerprint's dead.json: mass 3/4, state 2 is dead and loops, state
+    # 3 is unreachable; the values are the ones the start-list oracle gave
+    prior = make_pga(
+        ("x",),
+        4,
+        [Edge(0, 1, H, "x"), Edge(0, 2, Fraction(1, 4)),
+         Edge(2, 2, ONE, "x"), Edge(3, 1, ONE, "x")],
+        {0: ONE},
+        {0: Fraction(1, 4), 1: ONE},
+    )
+    rep = enumerate_program(parse_program("x += bernoulli(1/3); observe(x < 2)"), prior=prior)
+    assert rep.terminal == {(0,): Fraction(1, 6), (1,): Fraction(5, 12)}
+    assert rep.violation == Fraction(1, 6)
+    assert rep.residual == 0
 
 
 def test_enumerate_observe_false_is_all_violation():

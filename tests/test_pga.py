@@ -13,7 +13,7 @@ from redip import (
 )
 from redip.analysis import coefficient_table, mass
 from redip.errors import InvalidAutomaton, InvalidWeight
-from redip.pga import contract, extend_alphabet, rename_variable, trim, unit_pga
+from redip.pga import contract, extend_alphabet, trim, unit_pga
 from redip.rational import is_finite
 
 from conftest import rand_pga, series_of
@@ -188,23 +188,6 @@ def test_unit_pga():
 
 
 # ----- alphabet surgery
-
-
-def test_rename_variable():
-    a = make_pga(("x",), 2, [Edge(0, 1, H, "x")], {0: Fraction(1)}, {1: Fraction(1)})
-    b = rename_variable(a, "x", "y")
-    assert b.alphabet == ("y",)
-    assert b.edges == (Edge(0, 1, H, "y"),)
-
-
-def test_rename_variable_rejects_collision_and_unknown():
-    a = make_pga(
-        ("x", "y"), 1, [Edge(0, 0, H, "x")], {0: Fraction(1)}, {0: Fraction(1)}
-    )
-    with pytest.raises(InvalidAutomaton):
-        rename_variable(a, "x", "y")
-    with pytest.raises(InvalidAutomaton):
-        rename_variable(a, "z", "w")
 
 
 def test_extend_alphabet_is_order_preserving_superset():
