@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a parent tree against a changed tree.
+
+Runs `perfbench/run.py` in each of two source trees, one process at a time,
+for N pairs; pair i uses seed `--seed + i` on both sides, and the side that
+runs first alternates from pair to pair, starting with the parent. Per metric
+it prints each side's median and its range (max - min) over that median, the
+distance between the parent's quartiles, the ratio of the medians (change /
+parent), in how many pairs the change read lower, and `all below` when every
+change run read below every parent run. A metric is
+`unresolved` when the parent's own range over median exceeds the metric's
+bound in BENCHMARK.json: its runs spread too widely for a move within the
+bound to show.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload geo-chain --seconds 10 --pairs 6
+
+BENCHMARK.json is read from the change tree and never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One `perfbench/run.py` process in `tree`: its metrics, by name."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def bounds_of(benchmark: dict) -> dict[str, float]:
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+
+
+def summarize(parent: list[dict[str, float]], change: list[dict[str, float]],
+              bounds: dict[str, float]) -> list[dict]:
+    """One row per metric that both sides report, from runs paired by index.
+
+    A metric named `<workload>.<metric>` (as `--workload all` reports them)
+    takes the bound of `<metric>`."""
+    rows = []
+    for name in parent[0]:
+        if name not in change[0]:
+            continue
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        p_med, c_med = statistics.median(p), statistics.median(c)
+        p_spread = (max(p) - min(p)) / p_med if p_med else 0.0
+        quartiles = statistics.quantiles(p, n=4) if len(p) > 1 else [p[0]] * 3
+        c_spread = (max(c) - min(c)) / c_med if c_med else 0.0
+        bound = bounds.get(name, bounds.get(name.rsplit(".", 1)[-1]))
+        rows.append({
+            "metric": name,
+            "parent": p_med,
+            "parent_spread": p_spread,
+            "parent_iqr": quartiles[2] - quartiles[0],
+            "change": c_med,
+            "change_spread": c_spread,
+            "ratio": c_med / p_med if p_med else float("nan"),
+            "lower": sum(ci < pi for pi, ci in zip(p, c)),
+            "all_below": max(c) < min(p),
+            "pairs": len(p),
+            "unresolved": bound is not None and p_spread > bound,
+        })
+    return rows
+
+
+def format_table(rows: list[dict]) -> str:
+    """The rows as a Markdown table."""
+    out = ["| metric | parent median (range/median) | parent IQR | change median (range/median) "
+           "| change/parent | pairs lower | | |",
+           "|---|---|---|---|---|---|---|---|"]
+    for r in rows:
+        out.append(
+            f"| {r['metric']} | {r['parent']:.4g} ({r['parent_spread']:.2f}) | {r['parent_iqr']:.3g} "
+            f"| {r['change']:.4g} ({r['change_spread']:.2f}) | {r['ratio']:.3f} "
+            f"| {r['lower']}/{r['pairs']} | {'all below' if r['all_below'] else ''} "
+            f"| {'unresolved' if r['unresolved'] else ''} |"
+        )
+    return "\n".join(out)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="the parent's source tree")
+    ap.add_argument("--change", type=Path, required=True, help="the changed source tree")
+    ap.add_argument("--workload", default="all")
+    ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--pairs", type=int, default=6)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parent, change = [], []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        sides = [(parent, args.parent), (change, args.change)]
+        for runs, tree in sides if i % 2 == 0 else reversed(sides):
+            runs.append(run_once(tree, args.workload, seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    print(format_table(summarize(parent, change, bounds_of(benchmark))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,9 @@ nonnegative solution bounds every partial sum of the series, so a nonsingular
 system with a nonnegative solution gives the least one, and a singular system
 or a negative component certifies divergence. The exact simplex
 (`method="lp"`) is not a production route; it is kept only to cross-check
-elimination.
+elimination. Solves, a table's right-hand sides and the sums over initial
+weights run on integer pairs (see `linsolve`): a `Fraction` is built only for
+each value returned.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 from .constructions import _useful_pairs
 from .errors import InfiniteMass, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
-from .linsolve import ONE, ZERO, FactoredSystem, SingularSystem, simplex_min
+from .linsolve import ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min
 from .pga import Pga, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
@@ -59,25 +61,38 @@ def mass(
     """
     if method not in ("elimination", "lp"):
         raise ValueError(f"unknown method {method!r}")
-    if dfa is None:
-        t = trim(a)
-        n, final, initial = t.num_states, t.final, t.initial
-        arcs: Iterable[tuple[int, int, Fraction]] = ((e.src, e.dst, e.weight) for e in t.edges)
-    else:
-        n, arcs, final, initial = _useful_pairs(a, dfa)
+    if dfa is not None:
+        return _least_mass(*_useful_pairs(a, dfa), method)
+    t = trim(a)
+    return _least_mass(t.num_states, [e[:3] for e in t.edges], t.final, t.initial, method)
+
+
+def _least_mass(n: int, arcs: Iterable[tuple[int, int, Fraction]], final: Mapping[int, Fraction],
+                initial: Mapping[int, Fraction], method: str = "elimination") -> ExtRational:
+    """The mass of a trimmed n-state system with arcs (src, dst, weight)."""
     if not final:  # no useful state
         return ZERO
     rows = _identity_minus(n, arcs)
-    f = [final.get(q, ZERO) for q in range(n)]
     if method == "lp":
         dense = [[row.get(j, ZERO) for j in range(n)] for row in rows]
+        f = [final.get(q, ZERO) for q in range(n)]
         value = simplex_min([initial.get(q, ZERO) for q in range(n)], dense, f)
         return INF if value is None else value
+    f = {q: (w.numerator, w.denominator) for q, w in final.items()}
     try:
         sol = FactoredSystem(n, rows).solve(f)
     except SingularSystem:
         return INF
-    return INF if any(v < 0 for v in sol) else sum((w * sol[q] for q, w in initial.items()), ZERO)
+    return INF if any(num < 0 for num, _ in sol.values()) else _dot(initial, sol)
+
+
+def _dot(weights: Mapping[int, Fraction], vec: Mapping[int, Pair]) -> Fraction:
+    """The sum of w * vec[q] over the weights, on integers."""
+    num, den = 0, 1
+    for q, w in weights.items():
+        (vn, vd), d = vec.get(q, (0, 1)), w.denominator
+        num, den = num * d * vd + w.numerator * vn * den, den * d * vd
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -92,11 +107,7 @@ def validate_pga(a: Pga) -> PgaReport:
     reach, coreach = reach_and_coreach(a)
     states = range(a.num_states)
     issues = [f"state {q} unreachable from any initial state" for q in states if q not in reach]
-    issues += [
-        f"state {q} cannot reach any final state"
-        for q in states
-        if q in reach and q not in coreach
-    ]
+    issues += [f"state {q} cannot reach any final state" for q in sorted(reach - coreach)]
     m = mass(a)
     return PgaReport(mass=m, is_pga=is_finite(m) and m <= 1, issues=tuple(issues))
 
@@ -137,38 +148,37 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
             raise InvalidParameter(f"bound for {var} must be nonnegative, got {bound}")
     t = trim(a)
     box = [range(bounds.get(var, 0) + 1) for var in t.alphabet]
+    n = t.num_states
     table = CoefficientTable()
-    table.total = mass(t)
+    table.total = _least_mass(n, [e[:3] for e in t.edges], t.final, t.initial)
     if not is_finite(table.total):
         raise InfiniteMass("coefficient table of a diverging automaton")
-    n = t.num_states
-    # labeled arcs by target, so a level reads only the previous level's nonzeros
-    arcs_into: dict[str, list[list[tuple[int, Fraction]]]] = {
+    # labeled arcs (src, *weight pair) by target: a level reads only the last one's nonzeros
+    arcs_into: dict[str, list[list[tuple[int, int, int]]]] = {
         var: [[] for _ in range(n)] for var in t.alphabet
     }
     for e in t.edges:
         if e.symbol is not None:
-            arcs_into[e.symbol][e.dst].append((e.src, e.weight))
-    eps = [(e.src, e.dst, e.weight) for e in t.edges if e.symbol is None]
+            arcs_into[e.symbol][e.dst].append((e.src, e.weight.numerator, e.weight.denominator))
+    eps = [e[:3] for e in t.edges if e.symbol is None]
     try:
         system = FactoredSystem(n, _identity_minus(n, eps))
     except SingularSystem as exc:  # impossible for finite mass, checked above
         raise InfiniteMass(f"unlabeled-edge structure diverges: {exc}") from exc
-    f = [t.final.get(q, ZERO) for q in range(n)]
     # keys run in box order, so key - e_i was solved stride[i] keys ago; the
     # deque holds one slab of vectors, never the whole grid
     stride = [math.prod(len(r) for r in box[i + 1 :]) for i in range(len(box))]
-    recent: deque[list[Fraction]] = deque(maxlen=max(stride, default=1))
+    recent: deque[dict[int, Pair]] = deque(maxlen=max(stride, default=1))
     for key in itertools.product(*box):
-        rhs = list(f) if not any(key) else [ZERO] * n
+        rhs = {} if any(key) else {q: (w.numerator, w.denominator) for q, w in t.final.items()}
         for i, var in enumerate(t.alphabet):
             if key[i]:
                 into = arcs_into[var]
-                for j, pv in enumerate(recent[-stride[i]]):
-                    if pv is not ZERO and pv:
-                        for q, w in into[j]:
-                            rhs[q] += w * pv
+                for j, (pn, pd) in recent[-stride[i]].items():
+                    for q, wn, wd in into[j]:  # rhs[q] += w * x[j]
+                        (an, ad), tn, td = rhs.get(q, (0, 1)), wn * pn, wd * pd
+                        rhs[q] = (an + tn, ad) if ad == td else (an * td + tn * ad, ad * td)
         vec = system.solve(rhs)
         recent.append(vec)
-        table[key] = sum((w * vec[q] for q, w in t.initial.items()), ZERO)
+        table[key] = _dot(t.initial, vec)
     return table

@@ -12,25 +12,28 @@ graph at a time, sources first (:func:`strongly_connected_components`). The
 acyclic part of a system then costs one pass over its entries to factor;
 only states on a cycle are eliminated. A solve pays only for the solution
 entries that can be nonzero: it back-substitutes just the pivots that the
-right-hand side's nonzero entries reach (Gilbert & Peierls), and divides only
-by pivots other than one.
+right-hand side's nonzero entries reach (Gilbert & Peierls).
 
 :func:`simplex_min` is an exact two-phase simplex for
 `min I.B  s.t.  (I - M) B = F, B >= 0` (Bland's rule, so it terminates),
 whose infeasibility certifies divergence. It is kept only to cross-check
 elimination (`analysis.mass(..., method="lp")`).
 
-Both run entirely on `fractions.Fraction`.
+The factorization and the simplex run on `fractions.Fraction`. A solve runs
+on integers: its sides are sparse maps of (numerator, denominator) pairs, and
+each pivot row becomes such pairs once, when the system is factored.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import gcd
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Pair = tuple[int, int]  # a rational as (numerator, denominator)
 
 
 class SingularSystem(Exception):
@@ -112,7 +115,7 @@ class FactoredSystem:
     def __init__(self, n: int, rows: list[dict[int, Fraction]]):
         if len(rows) != n:
             raise ValueError("row count does not match dimension")
-        work = [{c: v for c, v in r.items() if v != 0} for r in rows]
+        work = [{c: v for c, v in r.items() if v.numerator} for r in rows]
         self.n = n
         # (target_row, pivot_row, factor): rhs[target] -= factor * rhs[pivot]
         self.ops: list[tuple[int, int, Fraction]] = []
@@ -131,13 +134,20 @@ class FactoredSystem:
         rank = {col: k for k, (_, col, _) in enumerate(self.pivots)}
         self._rank_of_row = [0] * n
         self._feeds: list[list[int]] = [[] for _ in self.pivots]
+        # per pivot, for the solve: (row, col, *pivot pair, [(column, *pair) of the others])
+        self._int_pivots: list[tuple[int, int, int, int, list[tuple[int, int, int]]]] = []
         for k, (pivot_row, pivot_col, row) in enumerate(self.pivots):
             self._rank_of_row[pivot_row] = k
-            for c in row:
+            others = []
+            for c, v in row.items():
                 if c != pivot_col:
-                    if rank.get(c, -1) <= k:
+                    if (r := rank.get(c, -1)) <= k:
                         raise SingularSystem("back-substitution would hit an unsolved column")
-                    self._feeds[rank[c]].append(k)
+                    self._feeds[r].append(k)
+                    others.append((c, v.numerator, v.denominator))
+            d = row[pivot_col]
+            self._int_pivots.append((pivot_row, pivot_col, d.numerator, d.denominator, others))
+        self._int_ops = [(t, p, f.numerator, f.denominator) for t, p, f in self.ops]
 
     def _eliminate(self, component: list[int], work: list[dict[int, Fraction]]) -> None:
         """Pivot only on the component's own columns; fill-in can reach
@@ -177,28 +187,33 @@ class FactoredSystem:
                         orow[c] = nv
             self.pivots.append((pivot_row, pivot_col, row))
 
-    def solve(self, rhs: list[Fraction]) -> list[Fraction]:
-        """Solve A x = rhs for the factored A. After the recorded eliminations,
-        only the pivots that the nonzero entries of rhs reach through `_feeds`
-        can solve to nonzero, so back-substitution visits just those."""
-        b = list(rhs)
-        for target, pivot, factor in self.ops:
-            if b[pivot] != 0:
-                b[target] = b[target] - factor * b[pivot]
-        seeds = [self._rank_of_row[i] for i, v in enumerate(b) if v is not ZERO and v]
-        # an entry is ZERO itself until solved nonzero, so unsolved columns (the
-        # pivot's own among them) drop out of the sum
-        x = [ZERO] * self.n
+    def solve(self, rhs: Mapping[int, Pair]) -> dict[int, Pair]:
+        """Solve A x = rhs for the factored A: rhs maps rows to entries, the
+        result maps columns to the nonzero entries, in lowest terms with a
+        positive denominator. After the recorded eliminations, only the pivots
+        that the entries of rhs reach through `_feeds` can solve to nonzero, so
+        back-substitution visits just those; each reduces once, by one gcd."""
+        b = dict(rhs)
+        for target, pivot, fn, fd in self._int_ops:  # b[target] -= f * b[pivot]
+            if pivot in b:
+                (pn, pd), (tn, td) = b[pivot], b.get(target, (0, 1))
+                num, den = tn * pd * fd - fn * pn * td, td * pd * fd
+                g = gcd(num, den)
+                b[target] = (num // g, den // g)
+        x: dict[int, Pair] = {}
+        seeds = [self._rank_of_row[i] for i in b]
         for k in sorted(closure(seeds, self._feeds.__getitem__), reverse=True):
-            pivot_row, pivot_col, row = self.pivots[k]
-            acc = b[pivot_row]
-            for c, v in row.items():
-                xc = x[c]
-                if xc is not ZERO:
-                    acc -= v * xc
-            if acc:
-                d = row[pivot_col]
-                x[pivot_col] = acc if d == 1 else acc / d
+            pivot_row, pivot_col, dn, dd, others = self._int_pivots[k]
+            an, ad = b.get(pivot_row, (0, 1))
+            for c, vn, vd in others:
+                if c in x:  # an unsolved column is zero
+                    xn, xd = x[c]
+                    td = vd * xd
+                    an, ad = (an - vn * xn, ad) if td == ad else (an * td - vn * xn * ad, ad * td)
+            if an:
+                an, ad = an * dd, ad * dn
+                g = gcd(an, ad) if ad > 0 else -gcd(an, ad)
+                x[pivot_col] = (an // g, ad // g)
         return x
 
 

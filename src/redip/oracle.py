@@ -35,7 +35,7 @@ from .dists import (
     Uniform,
     build_dist_pga,
 )
-from .errors import InvalidAutomaton, InvalidParameter, UnsupportedIid
+from .errors import InvalidAutomaton, InvalidParameter, UnknownVariable, UnsupportedIid
 from .guards import guard_satisfies
 from .lang import (
     Choice,
@@ -220,6 +220,8 @@ def enumerate_program(
         from .translate import working_alphabet
 
         alphabet = working_alphabet(p, prior)
+    elif missing := [v for v in program_vars(p) if v not in alphabet]:
+        raise UnknownVariable(f"program variables {missing} not in alphabet {alphabet}")
     rows: Rows = {}
     memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
 

@@ -66,7 +66,7 @@ def parse_weight(text: str) -> Fraction:
 
 def format_weight(value: Fraction) -> str:
     """Inverse of parse_weight: "3" for integers, "9/10" otherwise."""
-    if value < 0:
+    if value.numerator < 0:
         raise InvalidWeight(f"negative weight {value}")
     return str(value)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from typing import Any
 
 from .errors import InvalidAutomaton, InvalidWeight, PgaParseError
@@ -27,22 +28,6 @@ from .rational import format_weight, parse_weight
 _TOP_KEYS = {"alphabet", "states", "edges", "initial", "final"}
 _EDGE_KEYS = {"src", "dst", "weight", "symbol"}
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
-
-
-def pga_to_dict(a: Pga) -> dict[str, Any]:
-    edges = []
-    for e in a.edges:
-        item: dict[str, Any] = {"src": e.src, "dst": e.dst, "weight": format_weight(e.weight)}
-        if e.symbol is not None:
-            item["symbol"] = e.symbol
-        edges.append(item)
-    return {
-        "alphabet": list(a.alphabet),
-        "states": a.num_states,
-        "edges": edges,
-        "initial": {str(q): format_weight(w) for q, w in sorted(a.initial.items())},
-        "final": {str(q): format_weight(w) for q, w in sorted(a.final.items())},
-    }
 
 
 def pga_from_dict(data: Any) -> Pga:
@@ -63,12 +48,12 @@ def pga_from_dict(data: Any) -> Pga:
     if not isinstance(data["edges"], list):
         raise PgaParseError("edges must be a list")
     edges = []
+    parsed: dict[str, Fraction] = {}  # an automaton repeats a few weights many times
     for pos, item in enumerate(data["edges"]):
         if not isinstance(item, dict):
             raise PgaParseError(f"edge {pos} is not an object")
-        extra = set(item) - _EDGE_KEYS
-        if extra:
-            raise PgaParseError(f"edge {pos} has unknown keys {sorted(extra)}")
+        if not item.keys() <= _EDGE_KEYS:
+            raise PgaParseError(f"edge {pos} has unknown keys {sorted(set(item) - _EDGE_KEYS)}")
         try:
             src, dst = item["src"], item["dst"]
             weight = item["weight"]
@@ -78,10 +63,12 @@ def pga_from_dict(data: Any) -> Pga:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise PgaParseError(f"edge {pos}: {name} must be an integer")
         try:
-            w = parse_weight(weight)
+            w = parsed.get(weight) if isinstance(weight, str) else None
+            if w is None:
+                w = parsed[weight] = parse_weight(weight)
         except InvalidWeight as exc:
             raise PgaParseError(f"edge {pos}: {exc}") from exc
-        edges.append(Edge(src, dst, w, item.get("symbol")))
+        edges.append((src, dst, w, item.get("symbol")))
 
     def weight_map(key: str) -> dict[int, Any]:
         raw = data[key]
@@ -108,8 +95,34 @@ def pga_from_dict(data: Any) -> Pga:
         raise PgaParseError(str(exc)) from exc
 
 
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """A list or object as json.dumps(indent=2) lays out one with these items."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def pga_to_json(a: Pga) -> str:
-    return json.dumps(pga_to_dict(a), indent=2) + "\n"
+    """The schema's JSON, byte for byte as `json.dumps(..., indent=2)` writes
+    it plus a newline, laid out here: an indent switches json's C encoder off,
+    and its Python encoder takes several times as long. Weights and state keys
+    are digits and slashes, so only alphabet names need escaping."""
+    names = {v: json.dumps(v) for v in a.alphabet}
+    label = {None: "", **{v: f',\n      "symbol": {name}' for v, name in names.items()}}
+    edges = [
+        f'{{\n      "src": {src},\n      "dst": {dst},\n      "weight": "{format_weight(w)}"'
+        f"{label[symbol]}\n    }}"
+        for src, dst, w, symbol in a.edges
+    ]
+    top = [
+        '"alphabet": ' + _block("[]", list(names.values()), "  "),
+        f'"states": {a.num_states}',
+        '"edges": ' + _block("[]", edges, "  "),
+    ]
+    for key, weights in (("initial", a.initial), ("final", a.final)):
+        items = [f'"{q}": "{format_weight(w)}"' for q, w in sorted(weights.items())]
+        top.append(f'"{key}": ' + _block("{}", items, "  "))
+    return _block("{}", top, "") + "\n"
 
 
 def pga_from_json(text: str) -> Pga:

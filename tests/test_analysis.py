@@ -147,7 +147,7 @@ def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
             super().__init__(n, rows)
 
         def solve(self, rhs):
-            seen.append(list(rhs))
+            seen.append(dict(rhs))
             return super().solve(rhs)
 
     monkeypatch.setattr(analysis, "FactoredSystem", Recording)
@@ -160,7 +160,8 @@ def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
                 continue
             assert seen[0] == identity_minus_rows(t)
             # a singular system is never solved
-            assert seen[1:] in ([], [[t.final.get(q, 0) for q in range(t.num_states)]])
+            final = {q: (w.numerator, w.denominator) for q, w in t.final.items()}
+            assert seen[1:] in ([], [final])
 
 
 def test_divergent_loops_off_the_useful_states_do_not_count():

@@ -31,6 +31,7 @@ from redip.errors import (
     CustomMassNotOne,
     CustomNotNormalized,
     InvalidAutomaton,
+    UnknownVariable,
     UnsupportedIid,
 )
 from redip.lang import Observe
@@ -165,6 +166,11 @@ def test_enumerate_takes_the_working_alphabet_of_the_prior():
     assert rep.terminal == {(1, 0): H, (1, 1): H}
     with pytest.raises(InvalidAutomaton, match="drops variables"):
         enumerate_program(p, alphabet=("x",), prior=prior)
+
+
+def test_enumerate_refuses_an_alphabet_without_a_program_variable():
+    with pytest.raises(UnknownVariable, match=r"\['y'\] not in alphabet \('x',\)"):
+        enumerate_program(parse_program("x += 1; y += 1"), alphabet=("x",))
 
 
 def test_enumerate_from_a_prior_with_a_dead_and_an_unreachable_state():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redip import (
     Edge,
@@ -16,11 +16,29 @@ from redip import (
     save_pga,
 )
 from redip.errors import PgaParseError, RedipError
-from redip.serialize import pga_from_dict, pga_to_dict, pga_to_dot
+from redip.serialize import pga_from_dict, pga_to_dot
 
 from conftest import rand_pga
 
 H = Fraction(1, 2)
+
+
+def pga_to_dict(a):
+    """The schema's dict of an automaton: `pga_to_json`'s reference, which
+    writes exactly `json.dumps(pga_to_dict(a), indent=2) + "\\n"`."""
+    edges = []
+    for e in a.edges:
+        item = {"src": e.src, "dst": e.dst, "weight": str(e.weight)}
+        if e.symbol is not None:
+            item["symbol"] = e.symbol
+        edges.append(item)
+    return {
+        "alphabet": list(a.alphabet),
+        "states": a.num_states,
+        "edges": edges,
+        "initial": {str(q): str(w) for q, w in sorted(a.initial.items())},
+        "final": {str(q): str(w) for q, w in sorted(a.final.items())},
+    }
 
 
 def sample():
@@ -58,6 +76,29 @@ def test_random_round_trips():
     for _ in range(50):
         a = rand_pga(rng)
         assert pga_from_json(pga_to_json(a)) == a
+
+
+@st.composite
+def automata(draw):
+    """Automata whose alphabet names hold quotes, backslashes, control and
+    non-ASCII characters; edges, initial and final weights may all be empty."""
+    names = st.text(st.sampled_from('x"\\/\n\té☃😀') | st.characters(), min_size=1, max_size=4)
+    alphabet = draw(st.lists(names, max_size=3, unique=True))
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=10**20)
+    symbol = st.sampled_from([None, *alphabet])
+    edges = draw(st.lists(st.tuples(state, state, weight, symbol), max_size=6))
+    initial = draw(st.dictionaries(state, weight, max_size=n))
+    return make_pga(alphabet, n, edges, initial, draw(st.dictionaries(state, weight, max_size=n)))
+
+
+@given(automata())
+@example(make_pga(['a"b', "c\\d", "é"], 1, [], {}, {}))
+def test_json_text_is_the_indented_json_dumps(a):
+    text = pga_to_json(a)
+    assert text == json.dumps(pga_to_dict(a), indent=2) + "\n"
+    assert pga_from_json(text) == a
 
 
 def test_weights_serialize_as_fraction_strings():
