@@ -14,9 +14,9 @@ nonnegative solution bounds every partial sum of the series, so a nonsingular
 system with a nonnegative solution gives the least one, and a singular system
 or a negative component certifies divergence. The exact simplex
 (`method="lp"`) is not a production route; it is kept only to cross-check
-elimination. Solves, a table's right-hand sides and the sums over initial
-weights run on integer pairs (see `linsolve`): a `Fraction` is built only for
-each value returned.
+elimination. The rows of I - M are integer pairs read off the arc weights,
+and so are solves, a table's right-hand sides and the sums over initial
+weights (see `linsolve`): a `Fraction` is built only for each value returned.
 """
 
 from __future__ import annotations
@@ -24,25 +24,25 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .constructions import _useful_pairs
 from .errors import InfiniteMass, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
-from .linsolve import ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min
-from .pga import Pga, make_pga, reach_and_coreach, trim
+from .linsolve import PAIR_ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min, sub_product
+from .pga import Pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 
-def _identity_minus(n: int, arcs: Iterable[tuple[int, int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Rows of I - M for the arcs (src, dst, weight) of an n-state system:
-    labels dropped, parallel arcs summed, 1 on the diagonal."""
-    rows = [{i: ONE} for i in range(n)]
+def _identity_minus(n: int, arcs: Iterable[tuple[int, int, Fraction]]) -> list[dict[int, Pair]]:
+    """Rows of I - M for the arcs (src, dst, weight) of an n-state system, as
+    pairs: labels dropped, parallel arcs summed, 1 on the diagonal."""
+    rows = [{i: PAIR_ONE} for i in range(n)]
     for src, dst, w in arcs:
         row = rows[src]
-        row[dst] = row[dst] - w if dst in row else -w
+        row[dst] = sub_product(row.get(dst, (0, 1)), (w.numerator, w.denominator), PAIR_ONE)
     return rows
 
 
@@ -74,7 +74,7 @@ def _least_mass(n: int, arcs: Iterable[tuple[int, int, Fraction]], final: Mappin
         return ZERO
     rows = _identity_minus(n, arcs)
     if method == "lp":
-        dense = [[row.get(j, ZERO) for j in range(n)] for row in rows]
+        dense = [[Fraction(*row[j]) if j in row else ZERO for j in range(n)] for row in rows]
         f = [final.get(q, ZERO) for q in range(n)]
         value = simplex_min([initial.get(q, ZERO) for q in range(n)], dense, f)
         return INF if value is None else value
@@ -86,7 +86,7 @@ def _least_mass(n: int, arcs: Iterable[tuple[int, int, Fraction]], final: Mappin
     return INF if any(num < 0 for num, _ in sol.values()) else _dot(initial, sol)
 
 
-def _dot(weights: Mapping[int, Fraction], vec: Mapping[int, Pair]) -> Fraction:
+def _dot(weights: Mapping[int, Fraction], vec: Mapping[int, tuple[int, int]]) -> Fraction:
     """The sum of w * vec[q] over the weights, on integers."""
     num, den = 0, 1
     for q, w in weights.items():
@@ -119,8 +119,7 @@ def normalize(a: Pga) -> Pga:
         raise InfiniteMass("cannot normalize an automaton of infinite mass")
     if m == 0:
         raise ZeroMass("cannot normalize an automaton of mass zero")
-    initial = {q: w / m for q, w in a.initial.items()}
-    return make_pga(a.alphabet, a.num_states, a.edges, initial, a.final)
+    return replace(a, initial={q: w / m for q, w in a.initial.items()})
 
 
 class CoefficientTable(dict):
@@ -168,7 +167,7 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
     # keys run in box order, so key - e_i was solved stride[i] keys ago; the
     # deque holds one slab of vectors, never the whole grid
     stride = [math.prod(len(r) for r in box[i + 1 :]) for i in range(len(box))]
-    recent: deque[dict[int, Pair]] = deque(maxlen=max(stride, default=1))
+    recent: deque[dict[int, tuple[int, int]]] = deque(maxlen=max(stride, default=1))
     for key in itertools.product(*box):
         rhs = {} if any(key) else {q: (w.numerator, w.denominator) for q, w in t.final.items()}
         for i, var in enumerate(t.alphabet):

@@ -12,6 +12,7 @@ so it is complete by construction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence, Union
@@ -147,6 +148,8 @@ def dfa_less_than(var: str, bound: int, alphabet: tuple[str, ...]) -> GuardDfa:
     sink); other variables self-loop. bound = 0 is the single-state rejecting
     automaton for an unsatisfiable threshold.
     """
+    if bound >= sys.maxsize:
+        raise GuardConstraintError(f"guard {var} < {bound} needs {bound + 1} states")
     stay = tuple(range(bound + 1))
     delta = {v: stay[1:] + (bound,) if v == var else stay for v in alphabet}
     return GuardDfa(alphabet, bound + 1, 0, frozenset(range(bound)), delta)
@@ -154,6 +157,8 @@ def dfa_less_than(var: str, bound: int, alphabet: tuple[str, ...]) -> GuardDfa:
 
 def dfa_mod(var: str, modulus: int, residue: int, alphabet: tuple[str, ...]) -> GuardDfa:
     """Cyclic counter for var % modulus == residue."""
+    if modulus > sys.maxsize:
+        raise GuardConstraintError(f"guard {var} % {modulus} == {residue} needs {modulus} states")
     stay = tuple(range(modulus))
     delta = {v: stay[1:] + (0,) if v == var else stay for v in alphabet}
     return GuardDfa(alphabet, modulus, 0, frozenset([residue]), delta)

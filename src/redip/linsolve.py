@@ -19,9 +19,9 @@ right-hand side's nonzero entries reach (Gilbert & Peierls).
 whose infeasibility certifies divergence. It is kept only to cross-check
 elimination (`analysis.mass(..., method="lp")`).
 
-The factorization and the simplex run on `fractions.Fraction`. A solve runs
-on integers: its sides are sparse maps of (numerator, denominator) pairs, and
-each pivot row becomes such pairs once, when the system is factored.
+The factorization and its solves run on integers: rows, recorded factors and
+both sides of a solve hold (numerator, denominator) pairs, each reduced by one
+gcd as it is made (:func:`sub_product`). The simplex runs on `Fraction`.
 """
 
 from __future__ import annotations
@@ -29,11 +29,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-Pair = tuple[int, int]  # a rational as (numerator, denominator)
+# a rational as integers, fields named like a Fraction's; reduced: lowest terms, denominator > 0
+Pair = NamedTuple("Pair", [("numerator", int), ("denominator", int)])
+PAIR_ONE = Pair(1, 1)
+
+
+def sub_product(a: tuple[int, int], f: tuple[int, int], v: tuple[int, int]) -> Pair:
+    """a - f * v in lowest terms, for rationals with positive denominators."""
+    (an, ad), (fn, fd), (vn, vd) = a, f, v
+    num, den = an * fd * vd - fn * vn * ad, ad * fd * vd
+    g = gcd(num, den)
+    return Pair(num // g, den // g)
 
 
 class SingularSystem(Exception):
@@ -101,26 +111,26 @@ def strongly_connected_components(n: int, succ: Sequence[Iterable[int]]) -> list
 class FactoredSystem:
     """Sparse LU-style factorization of a square rational matrix.
 
-    Rows are dicts column -> Fraction. Row i depends on the columns it holds,
-    a graph i -> c whose strongly connected components are pivoted sources
-    first, so no remaining row ever holds a pivoted column. A singleton
+    Rows are dicts column -> reduced Pair. Row i depends on the columns it
+    holds, a graph i -> c whose strongly connected components are pivoted
+    sources first, so no remaining row ever holds a pivoted column. A singleton
     pivots on its diagonal with no elimination; a cyclic component is
     eliminated greedily by row sparsity within its own rows and columns.
-    Factoring costs one pass over the entries plus that elimination. The
-    matrix is singular iff some component is. The factorization can be
-    replayed against many right-hand sides via :meth:`solve`, whose
-    back-substitution touches only the entries of the pivots it can reach.
+    Factoring costs one pass over the entries plus that elimination. The matrix
+    is singular iff some component is. The factorization can be replayed
+    against many right-hand sides via :meth:`solve`, whose back-substitution
+    touches only the entries of the pivots it can reach.
     """
 
-    def __init__(self, n: int, rows: list[dict[int, Fraction]]):
+    def __init__(self, n: int, rows: list[dict[int, Pair]]):
         if len(rows) != n:
             raise ValueError("row count does not match dimension")
         work = [{c: v for c, v in r.items() if v.numerator} for r in rows]
         self.n = n
         # (target_row, pivot_row, factor): rhs[target] -= factor * rhs[pivot]
-        self.ops: list[tuple[int, int, Fraction]] = []
-        # (pivot_row, pivot_col, row_dict) in elimination order
-        self.pivots: list[tuple[int, int, dict[int, Fraction]]] = []
+        self.ops: list[tuple[int, int, Pair]] = []
+        # (pivot_row, pivot_col, row_dict) in elimination order; with ops, the only factor copy
+        self.pivots: list[tuple[int, int, dict[int, Pair]]] = []
         for component in reversed(strongly_connected_components(n, work)):
             i = component[0]
             if len(component) > 1:
@@ -134,22 +144,15 @@ class FactoredSystem:
         rank = {col: k for k, (_, col, _) in enumerate(self.pivots)}
         self._rank_of_row = [0] * n
         self._feeds: list[list[int]] = [[] for _ in self.pivots]
-        # per pivot, for the solve: (row, col, *pivot pair, [(column, *pair) of the others])
-        self._int_pivots: list[tuple[int, int, int, int, list[tuple[int, int, int]]]] = []
         for k, (pivot_row, pivot_col, row) in enumerate(self.pivots):
             self._rank_of_row[pivot_row] = k
-            others = []
-            for c, v in row.items():
+            for c in row:
                 if c != pivot_col:
                     if (r := rank.get(c, -1)) <= k:
                         raise SingularSystem("back-substitution would hit an unsolved column")
                     self._feeds[r].append(k)
-                    others.append((c, v.numerator, v.denominator))
-            d = row[pivot_col]
-            self._int_pivots.append((pivot_row, pivot_col, d.numerator, d.denominator, others))
-        self._int_ops = [(t, p, f.numerator, f.denominator) for t, p, f in self.ops]
 
-    def _eliminate(self, component: list[int], work: list[dict[int, Fraction]]) -> None:
+    def _eliminate(self, component: list[int], work: list[dict[int, Pair]]) -> None:
         """Pivot only on the component's own columns; fill-in can reach
         columns of later components, which back-substitution solves first."""
         members = set(component)
@@ -166,20 +169,20 @@ class FactoredSystem:
             if not cols:
                 raise SingularSystem(f"row {pivot_row} has no pivot in its component")
             pivot_col = min(cols, key=lambda c: (len(col_owner[c]), c))
-            pivot_val = row[pivot_col]
+            pn, pd = row[pivot_col]
+            minus_inverse = (-pd, pn) if pn > 0 else (pd, -pn)  # -1 / pivot
             remaining.discard(pivot_row)
             for other in list(col_owner[pivot_col]):
                 if other not in remaining:
                     continue
                 orow = work[other]
-                coef = orow.get(pivot_col)
-                if not coef:
+                if pivot_col not in orow:
                     continue
-                factor = coef / pivot_val
+                factor = sub_product((0, 1), orow[pivot_col], minus_inverse)  # coef / pivot
                 self.ops.append((other, pivot_row, factor))
                 for c, v in row.items():
-                    nv = orow.get(c, ZERO) - factor * v
-                    if nv == 0:
+                    nv = sub_product(orow.get(c, (0, 1)), factor, v)
+                    if not nv.numerator:
                         orow.pop(c, None)
                     else:
                         if c not in orow and c in members:
@@ -187,30 +190,28 @@ class FactoredSystem:
                         orow[c] = nv
             self.pivots.append((pivot_row, pivot_col, row))
 
-    def solve(self, rhs: Mapping[int, Pair]) -> dict[int, Pair]:
+    def solve(self, rhs: Mapping[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
         """Solve A x = rhs for the factored A: rhs maps rows to entries, the
         result maps columns to the nonzero entries, in lowest terms with a
         positive denominator. After the recorded eliminations, only the pivots
         that the entries of rhs reach through `_feeds` can solve to nonzero, so
         back-substitution visits just those; each reduces once, by one gcd."""
         b = dict(rhs)
-        for target, pivot, fn, fd in self._int_ops:  # b[target] -= f * b[pivot]
+        for target, pivot, f in self.ops:
             if pivot in b:
-                (pn, pd), (tn, td) = b[pivot], b.get(target, (0, 1))
-                num, den = tn * pd * fd - fn * pn * td, td * pd * fd
-                g = gcd(num, den)
-                b[target] = (num // g, den // g)
-        x: dict[int, Pair] = {}
+                b[target] = sub_product(b.get(target, (0, 1)), f, b[pivot])
+        x: dict[int, tuple[int, int]] = {}
         seeds = [self._rank_of_row[i] for i in b]
         for k in sorted(closure(seeds, self._feeds.__getitem__), reverse=True):
-            pivot_row, pivot_col, dn, dd, others = self._int_pivots[k]
+            pivot_row, pivot_col, row = self.pivots[k]
             an, ad = b.get(pivot_row, (0, 1))
-            for c, vn, vd in others:
-                if c in x:  # an unsolved column is zero
-                    xn, xd = x[c]
+            for c, v in row.items():
+                if c in x:  # an unsolved column is zero; the pivot's own is not solved yet
+                    (vn, vd), (xn, xd) = v, x[c]
                     td = vd * xd
                     an, ad = (an - vn * xn, ad) if td == ad else (an * td - vn * xn * ad, ad * td)
             if an:
+                dn, dd = row[pivot_col]
                 an, ad = an * dd, ad * dn
                 g = gcd(an, ad) if ad > 0 else -gcd(an, ad)
                 x[pivot_col] = (an // g, ad // g)

@@ -128,11 +128,11 @@ def test_filtered_mass_routes_agree():
 
 def identity_minus_rows(t):
     """The reference I - M of an automaton, from its edges: labels dropped,
-    parallel edges summed."""
+    parallel edges summed, each entry as its (numerator, denominator)."""
     rows = [{q: ONE} for q in range(t.num_states)]
     for e in t.edges:
         rows[e.src][e.dst] = rows[e.src].get(e.dst, 0) - e.weight
-    return rows
+    return [{c: (v.numerator, v.denominator) for c, v in row.items()} for row in rows]
 
 
 def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
@@ -239,6 +239,13 @@ def test_normalize_scales_initial_weights():
     assert mass(b) == 1
     assert b.initial == {0: H}
     assert b.final == a.final
+
+
+def test_normalize_shares_the_edges():
+    """Normalizing rescales the initial weights and rebuilds nothing else."""
+    a = loop(H, accept=ONE)
+    b = normalize(a)
+    assert b.edges is a.edges and b.final is a.final
 
 
 def test_normalize_rejects_zero_and_infinite():

@@ -540,3 +540,27 @@ def test_output_flags_reach_the_subcommands_that_read_them(program, capsys):
     assert "normalizing constant: 11/40 (= 0.28)" in capsys.readouterr().out
     assert main(["oracle", program, "--digits", "2", "--trunc", "3"]) == 0
     assert "violation mass: 29/40 (= 0.72)" in capsys.readouterr().out
+
+
+HUGE = "99999999999999999999999"  # past sys.maxsize
+
+
+@pytest.mark.parametrize("flags", [["--guard", f"x < {HUGE}"], ["--at", f"x={HUGE}"]])
+def test_query_refuses_a_counter_past_maxsize(program, tmp_path, capsys, flags):
+    out_path = tmp_path / "posterior.json"
+    main(["infer", program, "-o", str(out_path)])
+    capsys.readouterr()
+    assert main(["query", str(out_path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: guard x < ")
+
+
+def test_infer_refuses_a_modulus_past_maxsize_that_the_oracle_accepts(tmp_path, capsys):
+    path = tmp_path / "p.redip"
+    path.write_text(f"x += geometric(1/2); observe(x % {HUGE} == 1)")
+    assert main(["infer", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: guard x % {HUGE} == 1 needs {HUGE} states\n"
+    assert main(["oracle", str(path), "--trunc", "10"]) == 0
+    assert "x=1: 1/4" in capsys.readouterr().out

@@ -6,6 +6,7 @@ the guard as a predicate on valuations.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -260,3 +261,12 @@ def test_equality_at_zero_compiles_to_the_threshold_dfa(alphabet):
 def test_build_guard_dfa_requires_known_vars():
     with pytest.raises(UnknownVariable):
         build_guard_dfa(LessThan("z", 1), ALPHA)
+
+
+@pytest.mark.parametrize("guard", [LessThan("x", sys.maxsize), ModEq("y", sys.maxsize + 1, 3),
+                                   Not(LessThan("x", 10**23))])
+def test_build_guard_dfa_refuses_a_counter_past_maxsize(guard):
+    """A counter with more than sys.maxsize states cannot be built as a
+    table: it is refused by name instead of overflowing."""
+    with pytest.raises(GuardConstraintError, match=r"needs \d+ states"):
+        build_guard_dfa(guard, ALPHA)

@@ -7,6 +7,7 @@ one unlabeled arc per entry of M; automaton-level agreement is covered again
 in the acceptance suite.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from redip import analysis
 from redip.analysis import mass
 from redip.linsolve import (
     FactoredSystem,
+    Pair,
     SingularSystem,
     closure,
     simplex_min,
@@ -27,6 +30,11 @@ from redip.pga import make_pga
 from redip.rational import INF
 
 F = Fraction
+
+
+def pairs(rows):
+    """Fraction rows as the solver's rows of `Pair`s."""
+    return [{c: Pair(v.numerator, v.denominator) for c, v in row.items()} for row in rows]
 
 
 def solve(fs, rhs):
@@ -42,22 +50,22 @@ def solve(fs, rhs):
 def test_factored_system_solves_and_replays():
     # [[2, 1], [1, 3]] x = b for two different b
     rows = [{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}]
-    fs = FactoredSystem(2, rows)
+    fs = FactoredSystem(2, pairs(rows))
     assert solve(fs, [F(5), F(10)]) == [F(1), F(3)]
     assert solve(fs, [F(3), F(4)]) == [F(1), F(1)]
 
 
 def test_factored_system_permutation_matrix():
     rows = [{1: F(1)}, {0: F(1)}, {2: F(4)}]
-    fs = FactoredSystem(3, rows)
+    fs = FactoredSystem(3, pairs(rows))
     assert solve(fs, [F(7), F(2), F(8)]) == [F(2), F(7), F(2)]
 
 
 def test_factored_system_singular():
     with pytest.raises(SingularSystem):
-        FactoredSystem(2, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}])
+        FactoredSystem(2, pairs([{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]))
     with pytest.raises(SingularSystem):
-        FactoredSystem(2, [{0: F(1)}, {}])
+        FactoredSystem(2, pairs([{0: F(1)}, {}]))
 
 
 def system_pga(m_rows, f, initial):
@@ -188,7 +196,7 @@ def test_acyclic_chain_needs_no_elimination():
     first: no elimination op, and nothing recurses on the chain's depth."""
     n = 3000
     rows = [{i: F(1), i + 1: F(-1)} for i in range(n - 1)] + [{n - 1: F(1)}]
-    fs = FactoredSystem(n, rows)
+    fs = FactoredSystem(n, pairs(rows))
     assert fs.ops == []
     assert solve(fs, [F(0)] * (n - 1) + [F(1)]) == [F(1)] * n
 
@@ -307,9 +315,9 @@ def test_sparse_solve_equals_the_dense_reference(seed):
     expected = [_dense_solve(n, rows, rhs) for rhs in rhss]
     if expected[0] is None:
         with pytest.raises(SingularSystem):
-            solve(FactoredSystem(n, rows), rhss[0])
+            solve(FactoredSystem(n, pairs(rows)), rhss[0])
         return
-    fs = FactoredSystem(n, rows)
+    fs = FactoredSystem(n, pairs(rows))
     for rhs, x in zip(rhss, expected):
         assert solve(fs, rhs) == x
 
@@ -320,7 +328,8 @@ def test_block_triangular_systems_mostly_record_elimination_ops():
     with_ops = 0
     for seed in range(200):
         try:
-            with_ops += bool(FactoredSystem(*_identity_minus(random.Random(seed))).ops)
+            n, rows = _identity_minus(random.Random(seed))
+            with_ops += bool(FactoredSystem(n, pairs(rows)).ops)
         except SingularSystem:
             pass
     assert with_ops >= 150
@@ -356,9 +365,9 @@ def test_sparse_solve_equals_the_dense_reference_on_general_systems(seed):
         rhss.append(rhs)
     if _dense_solve(n, rows, rhss[0]) is None:
         with pytest.raises(SingularSystem):
-            solve(FactoredSystem(n, rows), rhss[0])
+            solve(FactoredSystem(n, pairs(rows)), rhss[0])
         return
-    fs = FactoredSystem(n, rows)
+    fs = FactoredSystem(n, pairs(rows))
     for rhs in rhss:
         assert solve(fs, rhs) == _dense_solve(n, rows, rhs)
 
@@ -369,7 +378,7 @@ def test_general_systems_record_ops_and_wide_denominators():
     with_ops = 0
     for seed in range(100):
         n, rows = _general_system(random.Random(seed))
-        fs = FactoredSystem(n, rows)
+        fs = FactoredSystem(n, pairs(rows))
         with_ops += bool(fs.ops)
         x = solve(fs, [F(1, 3)] + [F(0)] * (n - 1))
         assert max(v.denominator.bit_length() for v in x) > 64
@@ -382,7 +391,8 @@ def test_chain_level_solves_divide_nothing(monkeypatch):
     does no Fraction arithmetic and builds no Fraction, and its one gcd per
     solved pivot finds nothing to divide: a unit pivot scales nothing."""
     n = 3000
-    fs = FactoredSystem(n, [{i: F(1), i + 1: F(-1, 2)} for i in range(n - 1)] + [{n - 1: F(1)}])
+    rows = [{i: F(1), i + 1: F(-1, 2)} for i in range(n - 1)] + [{n - 1: F(1)}]
+    fs = FactoredSystem(n, pairs(rows))
     visited, gcds = [], []
 
     def recording_closure(seeds, succ):
@@ -407,3 +417,80 @@ def test_chain_level_solves_divide_nothing(monkeypatch):
     assert visited == [set(range(11))]
     assert gcds == [1] * 11
     assert x == {i: (1, 2 ** (10 - i)) for i in range(11)}
+
+
+# ------------------------------------------------- the stored factor record
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_stored_factors_are_reduced_pairs(seed):
+    """Every recorded factor and every pivot-row entry is a nonzero `Pair` in
+    lowest terms with a positive denominator, so its fields are the ones the
+    Fraction it stands for would report (the benchmark's tracer reads
+    `.denominator` from them)."""
+    n, rows = _general_system(random.Random(seed))
+    try:
+        fs = FactoredSystem(n, pairs(rows))
+    except SingularSystem:
+        return
+    entries = [f for _, _, f in fs.ops] + [v for _, _, row in fs.pivots for v in row.values()]
+    for v in entries:
+        assert type(v) is Pair and v.numerator != 0
+        assert F(*v).as_integer_ratio() == (v.numerator, v.denominator)
+
+
+FRACTION_WORK = ("__new__", "__neg__", "__bool__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+FRACTION_WORK += tuple(f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r"))
+
+
+@contextlib.contextmanager
+def no_fraction_work():
+    """Building a Fraction, or any arithmetic or comparison on one, raises
+    inside the block; reading `.numerator` and `.denominator` does not."""
+    saved = {name: F.__dict__[name] for name in FRACTION_WORK}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction work in the solver")
+
+    try:
+        for name in FRACTION_WORK:
+            setattr(F, name, staticmethod(forbidden) if name == "__new__" else forbidden)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(F, name, value)
+
+
+def test_row_build_factoring_and_solving_do_no_fraction_work():
+    """`_identity_minus` turns Fraction arc weights (parallel arcs and loops
+    included) into pair rows, and systems with elimination ops factor and
+    solve, without building or operating on a Fraction; the answers equal
+    the dense reference."""
+    cases = []
+    for seed in range(40):
+        n, m_rows, _, _ = _block_triangular_system(random.Random(seed))
+        arcs = [(i, j, w) for i, row in enumerate(m_rows) for j, w in row.items()]
+        arcs += [(i, j, w / 2) for i, j, w in arcs[::3]]  # parallel arcs
+        rows = [{i: F(1)} for i in range(n)]
+        for i, j, w in arcs:
+            rows[i][j] = rows[i].get(j, F(0)) - w
+        rhs = {0: (1, 3), n - 1: (-2, 5)}
+        cases.append((n, arcs, rows, rhs))
+    built, solved = [], []
+    with no_fraction_work():
+        for n, arcs, _, rhs in cases:
+            built.append(analysis._identity_minus(n, arcs))
+            try:
+                fs = FactoredSystem(n, built[-1])
+            except SingularSystem:
+                solved.append(None)
+                continue
+            solved.append((bool(fs.ops), fs.solve(rhs)))
+    assert sum(bool(s and s[0]) for s in solved) >= 20
+    for (n, _, rows, rhs), got, result in zip(cases, built, solved):
+        assert got == [{c: (v.numerator, v.denominator) for c, v in row.items()} for row in rows]
+        dense_rhs = [F(*rhs[i]) if i in rhs else F(0) for i in range(n)]
+        expected = _dense_solve(n, rows, dense_rhs)
+        assert (result is None) == (expected is None)
+        if result is not None:
+            assert [F(*result[1][i]) if i in result[1] else F(0) for i in range(n)] == expected
