@@ -15,6 +15,15 @@ bound to show.
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload geo-chain --seconds 10 --pairs 6
 
+With `--counters` it runs `perfbench/run.py --trace 1` once per tree, with
+the same `--seed` and `--seconds`, and compares every metric whose unit is
+`count` or `bits`: the identity check of a change that must leave the work
+done unchanged. It prints each metric that differs with both values and exits
+1, or prints how many metrics it compared and exits 0.
+
+    python3 scripts/bench_pairs.py --counters --parent ../parent --change . \\
+        --workload all --seed 7 --seconds 1
+
 BENCHMARK.json is read from the change tree and never written.
 """
 
@@ -28,17 +37,29 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One `perfbench/run.py` process in `tree`: its metrics, by name."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict[str, dict]:
+    """One `perfbench/run.py` process in `tree`: its metrics, by name, each
+    as {"value": ..., "unit": ...}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
                            f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return json.loads(lines[-1])["metrics"]
+
+
+def compare_counters(parent: dict[str, dict], change: dict[str, dict]) -> tuple[int, list[str]]:
+    """How many `count` and `bits` metrics either run reports, and one line
+    per such metric whose values differ (or that one run lacks)."""
+    names = sorted({n for run in (parent, change) for n, m in run.items() if m["unit"] in ("count", "bits")})
+    diffs = []
+    for name in names:
+        p, c = (run[name]["value"] if name in run else "missing" for run in (parent, change))
+        if p != c:
+            diffs.append(f"{name}: parent {p}, change {c}")
+    return len(names), diffs
 
 
 def bounds_of(benchmark: dict) -> dict[str, float]:
@@ -100,15 +121,24 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--pairs", type=int, default=6)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair, or of both --counters runs")
+    ap.add_argument("--counters", action="store_true",
+                    help="compare the count and bits metrics of one traced run per tree")
     args = ap.parse_args(argv)
+    if args.counters:
+        runs = [run_once(tree, args.workload, args.seed, args.seconds, trace=1)
+                for tree in (args.parent, args.change)]
+        compared, diffs = compare_counters(*runs)
+        print("\n".join(diffs) if diffs else f"{compared} count and bits metrics compared, all equal")
+        return 1 if diffs else 0
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent, change = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         sides = [(parent, args.parent), (change, args.change)]
         for runs, tree in sides if i % 2 == 0 else reversed(sides):
-            runs.append(run_once(tree, args.workload, seed, args.seconds))
+            metrics = run_once(tree, args.workload, seed, args.seconds)
+            runs.append({name: m["value"] for name, m in metrics.items()})
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     print(format_table(summarize(parent, change, bounds_of(benchmark))))
     return 0

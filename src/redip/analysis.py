@@ -14,9 +14,11 @@ nonnegative solution bounds every partial sum of the series, so a nonsingular
 system with a nonnegative solution gives the least one, and a singular system
 or a negative component certifies divergence. The exact simplex
 (`method="lp"`) is not a production route; it is kept only to cross-check
-elimination. The rows of I - M are integer pairs read off the arc weights,
-and so are solves, a table's right-hand sides and the sums over initial
-weights (see `linsolve`): a `Fraction` is built only for each value returned.
+elimination. Every route reads one linear view of a trimmed system,
+`_System`: arcs give M, the unlabeled M_eps and one M_x per letter; `solve`
+applies (I - M)^-1, or (I - M_eps)^-1 with `eps=True`, each factored on first
+use; `step` adds M_x v into a right-hand side. All of it runs on integer pairs
+(see `linsolve`): a `Fraction` is built only for each value returned.
 """
 
 from __future__ import annotations
@@ -26,29 +28,73 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .constructions import _useful_pairs
 from .errors import InfiniteMass, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
 from .linsolve import PAIR_ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min, sub_product
-from .pga import Pga, reach_and_coreach, trim
+from .pga import Pga, Symbol, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
-
-def _identity_minus(n: int, arcs: Iterable[tuple[int, int, Fraction]]) -> list[dict[int, Pair]]:
-    """Rows of I - M for the arcs (src, dst, weight) of an n-state system, as
-    pairs: labels dropped, parallel arcs summed, 1 on the diagonal."""
-    rows = [{i: PAIR_ONE} for i in range(n)]
-    for src, dst, w in arcs:
-        row = rows[src]
-        row[dst] = sub_product(row.get(dst, (0, 1)), (w.numerator, w.denominator), PAIR_ONE)
-    return rows
+_Vector = dict[int, tuple[int, int]]  # state -> nonzero entry as a (numerator, denominator) pair
 
 
-def mass(
-    a: Pga, dfa: Optional[GuardDfa] = None, method: str = "elimination"
-) -> ExtRational:
+class _System:
+    """The linear view of a trimmed system: arcs (src, dst, weight, symbol), α, and F as pairs."""
+
+    def __init__(self, n: int, arcs: Sequence[tuple[int, int, Fraction, Symbol]],
+                 final: Mapping[int, Fraction], initial: Mapping[int, Fraction]):
+        self.n, self.arcs, self.initial = n, arcs, initial
+        self.final = {q: (w.numerator, w.denominator) for q, w in final.items()}
+        self._factored: dict[bool, FactoredSystem] = {}
+        self._into: dict[str, list[list[tuple[int, int, int]]]] = {}
+
+    def rows(self, eps: bool = False) -> list[dict[int, Pair]]:
+        """Rows of I - M, or of I - M_eps (unlabeled arcs only), as pairs:
+        labels dropped, parallel arcs summed in arc order, 1 on the diagonal."""
+        rows = [{i: PAIR_ONE} for i in range(self.n)]
+        for src, dst, w, symbol in self.arcs:
+            if symbol is None or not eps:
+                row = rows[src]
+                row[dst] = sub_product(row.get(dst, (0, 1)), (w.numerator, w.denominator), PAIR_ONE)
+        return rows
+
+    def solve(self, rhs: _Vector, eps: bool = False) -> _Vector:
+        """x = (I - M)^-1 rhs, or with eps the closure (I - M_eps)^-1 rhs."""
+        if eps not in self._factored:
+            self._factored[eps] = FactoredSystem(self.n, self.rows(eps))
+        return self._factored[eps].solve(rhs)
+
+    def step(self, var: str, vec: _Vector, rhs: _Vector) -> None:
+        """rhs += M_var vec, reading only the var-arcs into vec's nonzero entries."""
+        if (into := self._into.get(var)) is None:  # var-arcs (src, *weight pair) by target
+            into = self._into[var] = [[] for _ in range(self.n)]
+            for src, dst, w, symbol in self.arcs:
+                if symbol == var:
+                    into[dst].append((src, w.numerator, w.denominator))
+        for j, (pn, pd) in vec.items():
+            for q, wn, wd in into[j]:  # rhs[q] += w * vec[j]
+                (an, ad), tn, td = rhs.get(q, (0, 1)), wn * pn, wd * pd
+                rhs[q] = (an + tn, ad) if ad == td else (an * td + tn * ad, ad * td)
+
+    def mass(self, method: str = "elimination") -> ExtRational:
+        """The initial-weight combination of the least solution of B = M B + F."""
+        if not self.final:  # no useful state
+            return ZERO
+        if method == "lp":
+            dense = [[Fraction(*row.get(j, (0, 1))) for j in range(self.n)] for row in self.rows()]
+            f = [Fraction(*self.final.get(q, (0, 1))) for q in range(self.n)]
+            value = simplex_min([self.initial.get(q, ZERO) for q in range(self.n)], dense, f)
+            return INF if value is None else value
+        try:
+            sol = self.solve(self.final)
+        except SingularSystem:
+            return INF
+        return INF if any(num < 0 for num, _ in sol.values()) else _dot(self.initial, sol)
+
+
+def mass(a: Pga, dfa: Optional[GuardDfa] = None, method: str = "elimination") -> ExtRational:
     """Total weight of all accepting runs, or INF when it diverges.
 
     With a guard DFA (over the automaton's alphabet), only the runs whose
@@ -62,31 +108,12 @@ def mass(
     if method not in ("elimination", "lp"):
         raise ValueError(f"unknown method {method!r}")
     if dfa is not None:
-        return _least_mass(*_useful_pairs(a, dfa), method)
+        return _System(*_useful_pairs(a, dfa)).mass(method)
     t = trim(a)
-    return _least_mass(t.num_states, [e[:3] for e in t.edges], t.final, t.initial, method)
+    return _System(t.num_states, t.edges, t.final, t.initial).mass(method)
 
 
-def _least_mass(n: int, arcs: Iterable[tuple[int, int, Fraction]], final: Mapping[int, Fraction],
-                initial: Mapping[int, Fraction], method: str = "elimination") -> ExtRational:
-    """The mass of a trimmed n-state system with arcs (src, dst, weight)."""
-    if not final:  # no useful state
-        return ZERO
-    rows = _identity_minus(n, arcs)
-    if method == "lp":
-        dense = [[Fraction(*row[j]) if j in row else ZERO for j in range(n)] for row in rows]
-        f = [final.get(q, ZERO) for q in range(n)]
-        value = simplex_min([initial.get(q, ZERO) for q in range(n)], dense, f)
-        return INF if value is None else value
-    f = {q: (w.numerator, w.denominator) for q, w in final.items()}
-    try:
-        sol = FactoredSystem(n, rows).solve(f)
-    except SingularSystem:
-        return INF
-    return INF if any(num < 0 for num, _ in sol.values()) else _dot(initial, sol)
-
-
-def _dot(weights: Mapping[int, Fraction], vec: Mapping[int, tuple[int, int]]) -> Fraction:
+def _dot(weights: Mapping[int, Fraction], vec: _Vector) -> Fraction:
     """The sum of w * vec[q] over the weights, on integers."""
     num, den = 0, 1
     for q, w in weights.items():
@@ -134,11 +161,9 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
 
     Keys are count tuples aligned with a.alphabet, in box order (the last
     variable's count varies fastest); variables missing from `bounds` get
-    bound 0. Works level by level: within a level only unlabeled edges act,
-    so each level is one solve against a factorization of (I - M_eps), valid
-    whenever the total mass is finite. A level's right-hand side comes from
-    the labeled arcs into the previous level's nonzero entries, and its
-    sparse solve pays only for the entries that these can reach.
+    bound 0. Works level by level: a level's right-hand side is one `step` per
+    letter from the level below, and its solve closes under the unlabeled arcs
+    alone, against an I - M_eps that is nonsingular when the mass is finite.
     """
     for var, bound in bounds.items():
         if var not in a.alphabet:
@@ -147,37 +172,21 @@ def coefficient_table(a: Pga, bounds: Mapping[str, int]) -> CoefficientTable:
             raise InvalidParameter(f"bound for {var} must be nonnegative, got {bound}")
     t = trim(a)
     box = [range(bounds.get(var, 0) + 1) for var in t.alphabet]
-    n = t.num_states
+    system = _System(t.num_states, t.edges, t.final, t.initial)
     table = CoefficientTable()
-    table.total = _least_mass(n, [e[:3] for e in t.edges], t.final, t.initial)
+    table.total = system.mass()
     if not is_finite(table.total):
         raise InfiniteMass("coefficient table of a diverging automaton")
-    # labeled arcs (src, *weight pair) by target: a level reads only the last one's nonzeros
-    arcs_into: dict[str, list[list[tuple[int, int, int]]]] = {
-        var: [[] for _ in range(n)] for var in t.alphabet
-    }
-    for e in t.edges:
-        if e.symbol is not None:
-            arcs_into[e.symbol][e.dst].append((e.src, e.weight.numerator, e.weight.denominator))
-    eps = [e[:3] for e in t.edges if e.symbol is None]
-    try:
-        system = FactoredSystem(n, _identity_minus(n, eps))
-    except SingularSystem as exc:  # impossible for finite mass, checked above
-        raise InfiniteMass(f"unlabeled-edge structure diverges: {exc}") from exc
     # keys run in box order, so key - e_i was solved stride[i] keys ago; the
     # deque holds one slab of vectors, never the whole grid
     stride = [math.prod(len(r) for r in box[i + 1 :]) for i in range(len(box))]
-    recent: deque[dict[int, tuple[int, int]]] = deque(maxlen=max(stride, default=1))
+    recent: deque[_Vector] = deque(maxlen=max(stride, default=1))
     for key in itertools.product(*box):
-        rhs = {} if any(key) else {q: (w.numerator, w.denominator) for q, w in t.final.items()}
+        rhs = {} if any(key) else dict(system.final)
         for i, var in enumerate(t.alphabet):
             if key[i]:
-                into = arcs_into[var]
-                for j, (pn, pd) in recent[-stride[i]].items():
-                    for q, wn, wd in into[j]:  # rhs[q] += w * x[j]
-                        (an, ad), tn, td = rhs.get(q, (0, 1)), wn * pn, wd * pd
-                        rhs[q] = (an + tn, ad) if ad == td else (an * td + tn * ad, ad * td)
-        vec = system.solve(rhs)
+                system.step(var, recent[-stride[i]], rhs)
+        vec = system.solve(rhs, eps=True)
         recent.append(vec)
         table[key] = _dot(t.initial, vec)
     return table

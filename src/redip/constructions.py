@@ -157,7 +157,7 @@ def product(a: Pga, dfa: GuardDfa) -> Pga:
 
 def _useful_pairs(
     a: Pga, dfa: GuardDfa
-) -> tuple[int, list[tuple[int, int, Fraction]], dict[int, Fraction], dict[int, Fraction]]:
+) -> tuple[int, list[tuple[int, int, Fraction, None]], dict[int, Fraction], dict[int, Fraction]]:
     """Dimension, arcs, final and initial weights of the linear system of the
     guard-filtered mass, over the useful pairs of `product(a, dfa)`.
 
@@ -186,7 +186,7 @@ def _useful_pairs(
             pred[t].append(p)
     finals = [pair for q in a.final for s in dfa.accepting if (pair := q * k + s) in reach]
     index = {p: i for i, p in enumerate(sorted(closure(finals, pred.__getitem__)))}
-    system = [(i, index[t], w) for p, i in index.items() for t, w in arcs[p].items() if t in index]
+    system = [(i, index[t], w, None) for p, i in index.items() for t, w in arcs[p].items() if t in index]
     final = {index[p]: a.final[p // k] for p in finals if p in index}
     initial = {index[pair]: w for q, w in a.initial.items() if (pair := q * k + start) in index}
     return len(index), system, final, initial

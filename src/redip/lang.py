@@ -350,17 +350,14 @@ class _Parser:
 
     def statement(self) -> Program:
         tok = self.cur
-        if tok.kind == "KEYWORD" and tok.text == "skip":
-            self.pos += 1
+        if self.accept("KEYWORD", "skip"):
             return IncrConst(self.x0, 0)
-        if tok.kind == "KEYWORD" and tok.text == "observe":
-            self.pos += 1
+        if self.accept("KEYWORD", "observe"):
             self.expect("OP", "(")
             g = self.guard()
             self.expect("OP", ")")
             return Observe(g)
-        if tok.kind == "KEYWORD" and tok.text == "if":
-            self.pos += 1
+        if self.accept("KEYWORD", "if"):
             self.expect("OP", "(")
             g = self.guard()
             self.expect("OP", ")")
@@ -384,13 +381,11 @@ class _Parser:
             if self.accept("OP", "--"):
                 return Decrement(var)
             if self.accept("OP", "-="):
-                amount = self.cur
-                if amount.kind != "NUMBER" or amount.text != "1":
+                if not self.accept("NUMBER", "1"):
                     raise self.error(
                         f"only '{var} -= 1' is supported (decrement by one, truncated "
-                        f"at zero), got '-= {amount.text or amount.kind}'"
+                        f"at zero), got '-= {self.cur.text or self.cur.kind}'"
                     )
-                self.pos += 1
                 return Decrement(var)
             raise self.error("expected ':=', '+=', '-= 1' or '--' after variable")
         raise self.error(f"expected a statement, got {tok.text or tok.kind!r}")
@@ -440,8 +435,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "NUMBER":
             return IncrConst(var, self.natural())
-        if tok.kind == "KEYWORD" and tok.text == "iid":
-            self.pos += 1
+        if self.accept("KEYWORD", "iid"):
             self.expect("OP", "(")
             dist = self.distribution()
             self.expect("OP", ",")

@@ -126,24 +126,29 @@ def test_filtered_mass_routes_agree():
             assert mass(a, dfa, method="lp") == mass(a, dfa)
 
 
-def identity_minus_rows(t):
+def identity_minus_rows(t, eps=False):
     """The reference I - M of an automaton, from its edges: labels dropped,
-    parallel edges summed, each entry as its (numerator, denominator)."""
+    parallel edges summed, each entry as its (numerator, denominator). With
+    `eps`, I - M_eps: the unlabeled edges alone."""
     rows = [{q: ONE} for q in range(t.num_states)]
     for e in t.edges:
-        rows[e.src][e.dst] = rows[e.src].get(e.dst, 0) - e.weight
+        if e.symbol is None or not eps:
+            rows[e.src][e.dst] = rows[e.src].get(e.dst, 0) - e.weight
     return [{c: (v.numerator, v.denominator) for c, v in row.items()} for row in rows]
 
 
 def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
     """What the factorization sees: the rows of I - M and the final weights
     of trim(a) for the plain mass, and of trim(product(a, dfa)) for the
-    filtered one, in their state order."""
-    seen = []
+    filtered one, in their state order. A coefficient table of finite mass
+    factors twice whatever its box: I - M of trim(a) for its total, then
+    I - M_eps of trim(a) for its levels."""
+    seen, factored = [], []
 
     class Recording(FactoredSystem):
         def __init__(self, n, rows):
             seen.append([dict(row) for row in rows])
+            factored.append(seen[-1])
             super().__init__(n, rows)
 
         def solve(self, rhs):
@@ -151,6 +156,7 @@ def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
             return super().solve(rhs)
 
     monkeypatch.setattr(analysis, "FactoredSystem", Recording)
+    tables = 0
     for a, dfa in guarded_cases(300, seed=7):
         for t, args in ((trim(a), (a,)), (trim(product(a, dfa)), (a, dfa))):
             seen.clear()
@@ -162,6 +168,15 @@ def test_both_system_builds_are_the_trimmed_systems(monkeypatch):
             # a singular system is never solved
             final = {q: (w.numerator, w.denominator) for q, w in t.final.items()}
             assert seen[1:] in ([], [final])
+        t = trim(a)
+        if not t.final or mass(a) is INF:
+            continue
+        for bounds in ({"x": 1}, {"y": 2}, {"x": 3, "y": 2}):
+            factored.clear()
+            coefficient_table(a, bounds)
+            assert factored == [identity_minus_rows(t), identity_minus_rows(t, eps=True)]
+            tables += 1
+    assert tables >= 300
 
 
 def test_divergent_loops_off_the_useful_states_do_not_count():

@@ -462,10 +462,10 @@ def no_fraction_work():
 
 
 def test_row_build_factoring_and_solving_do_no_fraction_work():
-    """`_identity_minus` turns Fraction arc weights (parallel arcs and loops
-    included) into pair rows, and systems with elimination ops factor and
-    solve, without building or operating on a Fraction; the answers equal
-    the dense reference."""
+    """The linear view in `analysis` turns Fraction arc weights (parallel
+    arcs and loops included) into pair rows, and systems with elimination ops
+    factor and solve, without building or operating on a Fraction; the
+    answers equal the dense reference."""
     cases = []
     for seed in range(40):
         n, m_rows, _, _ = _block_triangular_system(random.Random(seed))
@@ -479,7 +479,7 @@ def test_row_build_factoring_and_solving_do_no_fraction_work():
     built, solved = [], []
     with no_fraction_work():
         for n, arcs, _, rhs in cases:
-            built.append(analysis._identity_minus(n, arcs))
+            built.append(analysis._System(n, [(i, j, w, None) for i, j, w in arcs], {}, {}).rows())
             try:
                 fs = FactoredSystem(n, built[-1])
             except SingularSystem:

@@ -1,5 +1,5 @@
 """The scripts run end to end as their docstrings say; the benchmark-pair
-summary is checked on canned results."""
+summary and its counter check read canned results."""
 
 import json
 import os
@@ -71,3 +71,42 @@ def test_bench_pairs_summary_of_canned_runs():
     table = bench_pairs.format_table(bench_pairs.summarize(parent, change, bench_pairs.bounds_of(bench)))
     assert "| query_s | 0.11 (0.18) | 0.02 | 0.06 (0.33) | 0.545 | 3/3 | all below |  |" in table
     assert "| peak_rss_mb |" in table and "unresolved" in table
+
+
+def test_bench_pairs_counters_of_canned_runs(monkeypatch, capsys):
+    """`--counters` compares every count and bits metric of one traced run per
+    tree, with no benchmark run: equal runs exit 0 with the number compared,
+    and a differing or missing counter is printed with both values, exit 1."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.pop(0)
+    parent = {"geo-chain.linsolve.factor.dim": {"value": 4085, "unit": "count"},
+              "geo-chain.linsolve.factor.max_den_bits": {"value": 16, "unit": "bits"},
+              "geo-chain.linsolve.solve.calls": {"value": 47, "unit": "count"},
+              "geo-chain.query_s": {"value": 0.05, "unit": "s"},
+              "geo-chain.pga.trim.kept_ratio": {"value": 0.9, "unit": "ratio"}}
+    timing_only = dict(parent, **{"geo-chain.query_s": {"value": 0.04, "unit": "s"}})
+    assert bench_pairs.compare_counters(parent, timing_only) == (3, [])
+    changed = dict(timing_only, **{"geo-chain.linsolve.factor.dim": {"value": 4086, "unit": "count"}})
+    del changed["geo-chain.linsolve.solve.calls"]
+    assert bench_pairs.compare_counters(parent, changed) == (3, [
+        "geo-chain.linsolve.factor.dim: parent 4085, change 4086",
+        "geo-chain.linsolve.solve.calls: parent 47, change missing",
+    ])
+    calls = []
+
+    def canned(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, seconds, trace))
+        return parent if tree.name == "parent" else runs[tree.name]
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    argv = ["--counters", "--parent", "parent", "--workload", "all", "--seed", "7", "--seconds", "1"]
+    for name, run, status, out in (("same", timing_only, 0, "3 count and bits metrics compared, all equal\n"),
+                                   ("changed", changed, 1, "parent 4085, change 4086")):
+        runs = {name: run}
+        calls.clear()
+        assert bench_pairs.main(argv + ["--change", name]) == status
+        assert out in capsys.readouterr().out
+        assert calls == [("parent", "all", 7, 1.0, 1), (name, "all", 7, 1.0, 1)]
