@@ -253,6 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="redip", description="exact inference for loop-free discrete programs")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        """A --digits value, refused below 1 before any command runs."""
+        if (value := int(text)) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     def command(
         name: str,
         handler: Callable[[argparse.Namespace], int],
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         sp.add_argument("file", help=file_help)
         if digits:
-            sp.add_argument("--digits", type=int, default=6, action=_Given, help="decimal digits")
+            sp.add_argument("--digits", type=count, default=6, action=_Given, help="decimal digits")
         if as_json:
             sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.set_defaults(handler=handler, given=())

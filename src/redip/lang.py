@@ -90,23 +90,6 @@ class Observe:
     guard: Guard
 
 
-def _hash_once(cls):
-    """Cache a compound node's hash on first use: the generated hash walks the
-    whole subtree, and the oracle hashes a configuration at every step. Pickles
-    leave the cache out, since string hashes differ between processes."""
-    walk = cls.__hash__
-
-    def __hash__(self):
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", walk(self))
-        return self._hash
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = lambda self: {k: v for k, v in vars(self).items() if k != "_hash"}
-    return cls
-
-
-@_hash_once
 @dataclass(frozen=True)
 class Choice:
     left: Program
@@ -114,7 +97,6 @@ class Choice:
     right: Program
 
 
-@_hash_once
 @dataclass(frozen=True)
 class IfElse:
     guard: Guard
@@ -122,7 +104,6 @@ class IfElse:
     else_branch: Program
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Seq:
     first: Program

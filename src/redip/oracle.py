@@ -1,7 +1,9 @@
-"""Reference interpreter: small-step execution, exact enumeration, sampling.
+"""Reference interpreter: exact enumeration, sampling, differential check.
 
 This module never goes through the automaton constructions, so it can serve
-as an independent check of the translation. Distribution probabilities use
+as an independent check of the translation. The enumeration runs a program
+one statement at a time over a weighted set of valuations, the forward
+reading of the operational semantics. Distribution probabilities use
 closed forms (math.comb and powers of exact fractions), not the distribution
 automata. Sampling distributions are truncated at a configurable bound; the
 probability mass beyond the bound is tracked separately as a residual, which
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .analysis import coefficient_table
 from .dists import (
@@ -36,7 +38,7 @@ from .dists import (
     build_dist_pga,
 )
 from .errors import InvalidAutomaton, InvalidParameter, UnknownVariable, UnsupportedIid
-from .guards import guard_satisfies
+from .guards import Guard, guard_satisfies
 from .lang import (
     Choice,
     Decrement,
@@ -54,29 +56,9 @@ from .lang import (
 from .pga import Edge, Pga, extend_alphabet, trim
 
 Valuation = tuple[int, ...]
+Weighted = dict[Valuation, Fraction]
 Rows = dict[DistSpec, list[Fraction]]  # each distribution's pmf_row
-
-
-# ---------------------------------------------------------------- configs
-
-
-@dataclass(frozen=True)
-class Running:
-    program: Program
-    valuation: Valuation
-
-
-@dataclass(frozen=True)
-class Terminated:
-    valuation: Valuation
-
-
-@dataclass(frozen=True)
-class Violation:
-    """Sink reached by a failed observation."""
-
-
-Config = Union[Running, Terminated, Violation]
+ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------- pmfs
@@ -88,100 +70,31 @@ def pmf_row(spec: DistSpec, bound: int) -> list[Fraction]:
     in `build_dist_pga`; a custom file's row is the coefficients of the
     automaton that the engine's loader builds from it, which refuses a file
     exactly as `infer` does."""
-    ks = range(bound + 1)
-    if isinstance(spec, Dirac):
-        return [Fraction(k == spec.value) for k in ks]
-    if isinstance(spec, Uniform):
-        return [Fraction(k < spec.size, spec.size) for k in ks]
-    if isinstance(spec, (Bernoulli, Binomial)):
-        n, p = getattr(spec, "trials", 1), spec.p
-        return [math.comb(n, k) * p**k * (1 - p) ** (n - k) if k <= n else Fraction(0) for k in ks]
-    if isinstance(spec, (Geometric, NegBinomial)):
-        r, p = getattr(spec, "successes", 1), spec.p
-        if r == 0:
-            return [Fraction(k == 0) for k in ks]
-        return [math.comb(k + r - 1, k) * p**r * (1 - p) ** k for k in ks]
     if isinstance(spec, Custom):
         return list(coefficient_table(build_dist_pga(spec, "x", ("x",)), {"x": bound}).values())
+    return [_closed_form(spec, k) for k in range(bound + 1)]
+
+
+def _closed_form(spec: DistSpec, k: int) -> Fraction:
+    """Exact probability that a built-in distribution draws k >= 0."""
+    if isinstance(spec, Dirac):
+        return Fraction(k == spec.value)
+    if isinstance(spec, Uniform):
+        return Fraction(k < spec.size, spec.size)
+    if isinstance(spec, (Bernoulli, Binomial)):
+        n, p = getattr(spec, "trials", 1), spec.p
+        return math.comb(n, k) * p**k * (1 - p) ** (n - k) if k <= n else Fraction(0)
+    if isinstance(spec, (Geometric, NegBinomial)):
+        r, p = getattr(spec, "successes", 1), spec.p
+        return math.comb(k + r - 1, k) * p**r * (1 - p) ** k if r else Fraction(k == 0)
     raise TypeError(f"no pmf for {spec!r}")
 
 
 def dist_pmf(spec: DistSpec, k: int) -> Fraction:
     """Exact probability of drawing k."""
-    return pmf_row(spec, k)[k] if k >= 0 else Fraction(0)
-
-
-# ---------------------------------------------------------------- small step
-
-
-def _store(sigma: Valuation, idx: int, value: int) -> Valuation:
-    return sigma[:idx] + (value,) + sigma[idx + 1 :]
-
-
-def step(
-    cfg: Running, alphabet: tuple[str, ...], truncation: int, rows: Optional[Rows] = None
-) -> tuple[list[tuple[Fraction, Config]], Fraction]:
-    """One execution step. Returns the weighted successor configurations and
-    the probability mass cut off by the sampling truncation; `rows` caches
-    each distribution's `pmf_row` across steps."""
-    rows = {} if rows is None else rows
-    p = cfg.program
-    sigma = cfg.valuation
-    env = dict(zip(alphabet, sigma))
-
-    def at(var: str) -> int:
-        return alphabet.index(var)
-
-    if isinstance(p, SetZero):
-        return [(Fraction(1), Terminated(_store(sigma, at(p.var), 0)))], Fraction(0)
-    if isinstance(p, IncrConst):
-        idx = at(p.var)
-        return [(Fraction(1), Terminated(_store(sigma, idx, sigma[idx] + p.amount)))], Fraction(0)
-    if isinstance(p, IncrVar):
-        idx = at(p.var)
-        new = sigma[idx] + sigma[at(p.source)]
-        return [(Fraction(1), Terminated(_store(sigma, idx, new)))], Fraction(0)
-    if isinstance(p, IncrDist):
-        idx = at(p.var)
-        if p.dist not in rows:
-            rows[p.dist] = pmf_row(p.dist, truncation)
-        row = rows[p.dist]
-        succs: list[tuple[Fraction, Config]] = []
-        total = Fraction(0)
-        for k, prob in enumerate(row):
-            if prob:
-                succs.append((prob, Terminated(_store(sigma, idx, sigma[idx] + k))))
-                total += prob
-        return succs, 1 - total
-    if isinstance(p, IncrIid):
-        raise UnsupportedIid("iid increments have no finite exact enumeration here; sample instead")
-    if isinstance(p, Decrement):
-        idx = at(p.var)
-        return [(Fraction(1), Terminated(_store(sigma, idx, max(sigma[idx] - 1, 0))))], Fraction(0)
-    if isinstance(p, Observe):
-        if guard_satisfies(env, p.guard):
-            return [(Fraction(1), Terminated(sigma))], Fraction(0)
-        return [(Fraction(1), Violation())], Fraction(0)
-    if isinstance(p, Choice):
-        return (
-            [(p.prob, Running(p.left, sigma)), (1 - p.prob, Running(p.right, sigma))],
-            Fraction(0),
-        )
-    if isinstance(p, IfElse):
-        branch = p.then_branch if guard_satisfies(env, p.guard) else p.else_branch
-        return [(Fraction(1), Running(branch, sigma))], Fraction(0)
-    if isinstance(p, Seq):
-        inner, residual = step(Running(p.first, sigma), alphabet, truncation, rows)
-        succs = []
-        for w, c in inner:
-            if isinstance(c, Terminated):
-                succs.append((w, Running(p.second, c.valuation)))
-            elif isinstance(c, Violation):
-                succs.append((w, c))
-            else:
-                succs.append((w, Running(Seq(c.program, p.second), c.valuation)))
-        return succs, residual
-    raise TypeError(f"not a program: {p!r}")
+    if k < 0:
+        return Fraction(0)
+    return pmf_row(spec, k)[k] if isinstance(spec, Custom) else _closed_form(spec, k)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -206,12 +119,16 @@ def enumerate_program(
     truncation: int = 40,
     prior: Optional[Pga] = None,
 ) -> OracleReport:
-    """Exact outcome distribution by exhausting every configuration.
+    """Exact outcome distribution, pushed through the program one statement
+    at a time.
 
-    Program size strictly shrinks along each step, so the configuration graph
-    is a DAG and outcomes can be memoized per configuration; the graph is
-    walked with an explicit stack, so long programs do not recurse. Runs start
-    from the support of the acyclic automaton `prior`, or from the all-zero
+    A statement maps a weighted set of valuations to the valuations it ends
+    in: a choice splits the weight, an `if` splits the set, a failed
+    `observe` moves weight to the violation mass, and a draw spreads weight
+    over 0..truncation, the rest going to the residual. Zero weights are
+    kept, so every valuation that some run reaches is reported, and a
+    statement that no run reaches is never executed. Runs start from the
+    support of the acyclic automaton `prior`, or from the all-zero
     valuation; the default alphabet is `translate`'s `working_alphabet`.
     """
     if truncation < 0:
@@ -222,47 +139,65 @@ def enumerate_program(
         alphabet = working_alphabet(p, prior)
     elif missing := [v for v in program_vars(p) if v not in alphabet]:
         raise UnknownVariable(f"program variables {missing} not in alphabet {alphabet}")
-    rows: Rows = {}
-    memo: dict[Running, tuple[dict[Valuation, Fraction], Fraction, Fraction]] = {}
-
-    def outcome(root: Running) -> tuple[dict[Valuation, Fraction], Fraction, Fraction]:
-        # depth first without recursion: a configuration waits on the stack with
-        # its successor list, below them, until they are all memoized
-        stack: list[tuple[Running, Optional[tuple]]] = [(root, None)]
-        while stack:
-            cfg, expanded = stack.pop()
-            if expanded is None:
-                if cfg not in memo:
-                    expanded = step(cfg, alphabet, truncation, rows)
-                    stack.append((cfg, expanded))
-                    stack.extend((c, None) for _, c in expanded[0] if isinstance(c, Running))
-                continue
-            succs, resid = expanded
-            term: dict[Valuation, Fraction] = {}
-            viol = Fraction(0)
-            for w, c in succs:
-                if isinstance(c, Terminated):
-                    term[c.valuation] = term.get(c.valuation, Fraction(0)) + w
-                elif isinstance(c, Violation):
-                    viol += w
-                else:
-                    sub_term, sub_viol, sub_resid = memo[c]
-                    for sig, q in sub_term.items():
-                        term[sig] = term.get(sig, Fraction(0)) + w * q
-                    viol += w * sub_viol
-                    resid += w * sub_resid
-            memo[cfg] = (term, viol, resid)
-        return memo[root]
-
-    zero = [((0,) * len(alphabet), Fraction(1))]
-    start = zero if prior is None else prior_support(extend_alphabet(prior, alphabet))
     report = OracleReport(alphabet=alphabet, truncation=truncation)
-    for sigma, weight in start:
-        term, viol, resid = outcome(Running(p, sigma))
-        for sig, q in term.items():
-            report.terminal[sig] = report.terminal.get(sig, Fraction(0)) + weight * q
-        report.violation += weight * viol
-        report.residual += weight * resid
+    index = {v: i for i, v in enumerate(alphabet)}
+    rows: Rows = {}
+
+    def holds(g: Guard, sigma: Valuation) -> bool:
+        return guard_satisfies(dict(zip(alphabet, sigma)), g)
+
+    def either(left: Program, on_left: Weighted, right: Program, on_right: Weighted) -> Weighted:
+        out = run(left, on_left)
+        for sigma, w in run(right, on_right).items():
+            out[sigma] = out.get(sigma, Fraction(0)) + w
+        return out
+
+    def run(prog: Program, at: Weighted) -> Weighted:
+        """The valuations `prog` ends in from the weighted valuations `at`."""
+        if not at:
+            return at
+        if isinstance(prog, Seq):
+            return run(prog.second, run(prog.first, at))
+        if isinstance(prog, Choice):
+            return either(prog.left, {s: prog.prob * w for s, w in at.items()},
+                          prog.right, {s: (1 - prog.prob) * w for s, w in at.items()})
+        if isinstance(prog, IfElse):
+            sat = {s: w for s, w in at.items() if holds(prog.guard, s)}
+            return either(prog.then_branch, sat,
+                          prog.else_branch, {s: w for s, w in at.items() if s not in sat})
+        if isinstance(prog, Observe):
+            sat = {s: w for s, w in at.items() if holds(prog.guard, s)}
+            report.violation += sum(at.values()) - sum(sat.values())
+            return sat
+        i = index.get(getattr(prog, "var", None))  # every other statement sets one variable
+        if isinstance(prog, SetZero):
+            spread: Callable[[Valuation], Iterable[tuple[int, Fraction]]] = lambda s: ((0, ONE),)
+        elif isinstance(prog, IncrConst):
+            spread = lambda s: ((s[i] + prog.amount, ONE),)
+        elif isinstance(prog, IncrVar):
+            spread = lambda s, j=index[prog.source]: ((s[i] + s[j], ONE),)
+        elif isinstance(prog, Decrement):
+            spread = lambda s: ((max(s[i] - 1, 0), ONE),)
+        elif isinstance(prog, IncrDist):
+            if prog.dist not in rows:
+                rows[prog.dist] = pmf_row(prog.dist, truncation)
+            row = rows[prog.dist]
+            report.residual += (1 - sum(row)) * sum(at.values())
+            spread = lambda s: ((s[i] + k, q) for k, q in enumerate(row) if q)
+        elif isinstance(prog, IncrIid):
+            raise UnsupportedIid("iid increments have no finite exact enumeration here; sample instead")
+        else:
+            raise TypeError(f"not a program: {prog!r}")
+        out: Weighted = {}
+        for s, w in at.items():
+            for value, q in spread(s):
+                t = s[:i] + (value,) + s[i + 1 :]
+                out[t] = out.get(t, Fraction(0)) + w * q
+        return out
+
+    zero = [((0,) * len(alphabet), ONE)]
+    start = zero if prior is None else prior_support(extend_alphabet(prior, alphabet))
+    report.terminal = run(p, dict(start))
     return report
 
 

@@ -9,11 +9,12 @@ arithmetic or ordering, so callers test it with `is_finite` first.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidWeight
+from .errors import InvalidWeight, RedipError
 
 _WEIGHT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
@@ -68,7 +69,13 @@ def format_weight(value: Fraction) -> str:
     """Inverse of parse_weight: "3" for integers, "9/10" otherwise."""
     if value.numerator < 0:
         raise InvalidWeight(f"negative weight {value}")
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # str() refuses integers past sys.get_int_max_str_digits()
+        raise RedipError(
+            f"the exact value has more digits than Python will print "
+            f"({sys.get_int_max_str_digits()}); set PYTHONINTMAXSTRDIGITS=0 to print it"
+        ) from None
 
 
 def decimal_str(value: Fraction, digits: int = 6) -> str:

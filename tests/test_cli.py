@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import sys
 
 import pytest
 
@@ -533,6 +534,44 @@ def test_help_exits_0(capsys, argv):
 def test_flags_a_subcommand_does_not_read_are_refused(program, capsys, command, flag):
     assert exit_code([command, program, *flag]) == 1
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "PROGRAM", "--mode", "mc", "--digits", "-2"],
+        ["oracle", "PROGRAM", "--mode", "mc", "--digits", "0"],
+        ["oracle", "PROGRAM", "--digits", "0"],
+        ["infer", "PROGRAM", "--digits", "0"],
+        ["query", "PROGRAM", "--at", "x=0", "--digits", "0"],
+    ],
+)
+def test_digits_below_one_are_refused_before_any_work(program, capsys, argv):
+    argv = [program if a == "PROGRAM" else a for a in argv]
+    assert exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: redip" in captured.err
+    assert f"argument --digits: must be at least 1, got {argv[-1]}" in captured.err
+
+
+def test_an_answer_too_long_to_print_is_refused_in_words(tmp_path, capsys):
+    p = tmp_path / "long.redip"
+    p.write_text("x += geometric(1/10); observe(x == 700)\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert main(["infer", str(p)]) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the exact value has more digits than Python will print (640); "
+        "set PYTHONINTMAXSTRDIGITS=0 to print it\n"
+    )
+    assert main(["infer", str(p)]) == 0
+    assert f"normalizing constant: {9**700}/{10**701} (= " in capsys.readouterr().out
 
 
 def test_output_flags_reach_the_subcommands_that_read_them(program, capsys):

@@ -318,6 +318,8 @@ def test_parse_valuation():
         parse_valuation("x=\u0663")  # an Arabic-Indic three
     with pytest.raises(InvalidParameter, match="'x' given twice"):
         parse_valuation("x=0, x=1")
+    with pytest.raises(InvalidParameter, match="empty valuation"):
+        parse_valuation(" , ")
 
 
 # ----- rendering round trip
@@ -419,6 +421,23 @@ def test_dist_rendering():
 def test_every_distribution_parses_and_renders_back(text):
     assert dist_to_text(parse_program(f"x += {text}").dist) == text
     assert dist_to_text(parse_program(f"x += iid({text}, y)").dist) == text
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("{ skip } [1/0] { skip }", "1:13: zero denominator"),
+        ("{ skip } [0.5/2] { skip }", "1:11: ratio parts must be naturals"),
+        ("{ skip } [1/2.5] { skip }", "1:13: ratio parts must be naturals"),
+        ("x += 1.5", "1:6: expected a natural number, got a decimal"),
+        ("x += iid(bernoulli(1/2), 3)", "1:26: expected a variable name, got '3'"),
+        ("x += iid(x, y)", "1:10: expected a distribution name, got 'x'"),
+    ],
+)
+def test_malformed_numbers_and_iid_arguments_are_refused_where_they_stand(source, message):
+    with pytest.raises(RedipSyntaxError) as info:
+        parse_program(source)
+    assert str(info.value) == message
 
 
 def test_bad_distribution_parameter_reports_at_the_name():

@@ -1,8 +1,8 @@
 """Independent execution oracles: exact enumeration and Monte Carlo.
 
-The enumeration oracle runs programs by their small-step rules with no
-automaton machinery, truncating unbounded draws and carrying the lost mass
-as an explicit residual. Everything it reports therefore brackets the exact
+The enumeration oracle runs a program one statement at a time over a
+weighted set of valuations, with no automaton machinery, truncating
+unbounded draws and carrying the lost mass as an explicit residual. Everything it reports therefore brackets the exact
 value from below.
 """
 
@@ -16,8 +16,11 @@ import pytest
 from redip import (
     Bernoulli,
     Binomial,
+    Dirac,
     Edge,
     Geometric,
+    NegBinomial,
+    Uniform,
     build_dist_pga,
     compare,
     enumerate_program,
@@ -35,15 +38,7 @@ from redip.errors import (
     UnsupportedIid,
 )
 from redip.lang import Observe
-from redip.oracle import (
-    Running,
-    Terminated,
-    Violation,
-    dist_pmf,
-    mc_sample,
-    prior_support,
-    step,
-)
+from redip.oracle import dist_pmf, mc_sample, pmf_row, prior_support
 from redip.translate import working_alphabet
 
 H = Fraction(1, 2)
@@ -75,55 +70,50 @@ def two_point_prior():
     )
 
 
-# ----- single steps
+# ----- single statements
 
 
-def test_step_constant_increment_terminates():
-    out, residual = step(Running(parse_program("x += 2"), (1,)), ("x",), 10)
-    assert out == [(ONE, Terminated((3,)))]
-    assert residual == 0
+def test_enumerate_constant_increments_add_up():
+    rep = enumerate_program(parse_program("x += 1; x += 2"))
+    assert rep.terminal == {(3,): ONE}
+    assert rep.violation == rep.residual == 0
 
 
-def test_step_observe_branches_on_the_guard():
-    sat, _ = step(Running(parse_program("observe(x >= 1)"), (2,)), ("x",), 10)
-    assert sat == [(ONE, Terminated((2,)))]
-    vio, _ = step(Running(parse_program("observe(x >= 1)"), (0,)), ("x",), 10)
-    assert vio == [(ONE, Violation())]
+def test_enumerate_observe_keeps_satisfying_runs_and_drops_the_rest():
+    rep = enumerate_program(parse_program("{ x += 2 } [1/3] { x := 0 }; observe(x >= 1)"))
+    assert rep.terminal == {(2,): Fraction(1, 3)}
+    assert rep.violation == Fraction(2, 3)
 
 
-def test_step_seq_carries_the_continuation():
-    out, _ = step(Running(parse_program("x += 1; x += 2"), (0,)), ("x",), 10)
-    assert out == [(ONE, Running(parse_program("x += 2"), (1,)))]
+def test_enumerate_decrement_saturates_at_zero():
+    rep = enumerate_program(parse_program("x += 1; x--; x--"))
+    assert rep.terminal == {(0,): ONE}
 
 
-def test_step_nested_seq_keeps_remaining_program():
-    p = parse_program("{x += 1; x += 2} [1/2] {skip}; x += 4")
-    out, _ = step(Running(p, (0,)), ("x",), 10)
-    # both branches still have the trailing statement to run
-    assert {w for w, _ in out} == {H}
-    for _, cfg in out:
-        assert isinstance(cfg, Running)
+def test_enumerate_keeps_a_zero_weight_valuation():
+    rep = enumerate_program(parse_program("{ x += 1 } [0] { skip }"))
+    assert rep.terminal == {(1,): 0, (0,): ONE}
 
 
-def test_step_truncates_unbounded_draws():
-    out, residual = step(Running(parse_program("x += geometric(1/2)"), (0,)), ("x",), 3)
-    assert [(w, c.valuation) for w, c in out] == [
-        (H, (0,)),
-        (Fraction(1, 4), (1,)),
-        (Fraction(1, 8), (2,)),
-        (Fraction(1, 16), (3,)),
-    ]
-    assert residual == Fraction(1, 16)
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x += iid(bernoulli(1/2), y)",
+        "{ x += iid(bernoulli(1/2), y) } [0] { skip }",  # a zero-weight run still reaches it
+    ],
+)
+def test_enumerate_refuses_a_reached_iid(source):
+    with pytest.raises(UnsupportedIid, match="sample instead"):
+        enumerate_program(parse_program(source))
 
 
-def test_step_decrement_saturates_at_zero():
-    out, _ = step(Running(parse_program("x--"), (0,)), ("x",), 10)
-    assert out == [(ONE, Terminated((0,)))]
-
-
-def test_step_refuses_iid():
-    with pytest.raises(UnsupportedIid):
-        step(Running(parse_program("x += iid(bernoulli(1/2), y)"), (0, 2)), ("x", "y"), 10)
+def test_enumerate_skips_an_iid_that_no_run_reaches():
+    iid = "x += iid(bernoulli(1/2), y)"
+    rep = enumerate_program(parse_program(f"observe(x >= 1); {iid}"))
+    assert rep.terminal == {}
+    assert rep.violation == 1
+    rep = enumerate_program(parse_program(f"if (x >= 1) {{ {iid} }} else {{ x += 1 }}"))
+    assert rep.terminal == {(1, 0): ONE}
 
 
 # ----- full enumeration
@@ -198,9 +188,8 @@ def test_enumerate_observe_false_is_all_violation():
 
 @pytest.mark.parametrize("length", [200, 400])
 def test_enumerate_hashes_each_statement_a_bounded_number_of_times(monkeypatch, length):
-    """The memo hashes a configuration at every step; compound program nodes
-    cache their hash, so a straight-line program's statements are hashed a
-    bounded number of times each, not once per step still ahead of them."""
+    """The enumeration keys its maps by valuation, never by statement, so a
+    straight-line program's statements are not hashed at all."""
     calls = []
     walk = Observe.__hash__
 
@@ -213,7 +202,7 @@ def test_enumerate_hashes_each_statement_a_bounded_number_of_times(monkeypatch, 
     rep = enumerate_program(p)
     monkeypatch.undo()
     assert rep.terminal == {(0,): H}
-    assert len(calls) <= 3 * length
+    assert calls == []
 
 
 # ----- pmf helpers
@@ -237,6 +226,30 @@ def test_enumeration_builds_each_distribution_row_once(monkeypatch):
     rep = enumerate_program(p, truncation=5)
     assert calls == [(Geometric(H), 5), (Bernoulli(Fraction(1, 3)), 5)]
     assert rep.terminal_mass + rep.residual == 1
+
+
+CLOSED_FORMS = [
+    Dirac(3),
+    Uniform(4),
+    Bernoulli(Fraction(1, 3)),
+    Binomial(5, Fraction(2, 7)),
+    Geometric(Fraction(1, 3)),
+    NegBinomial(3, Fraction(1, 4)),
+    NegBinomial(0, H),
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORMS, ids=repr)
+def test_dist_pmf_of_a_closed_form_is_one_value_of_its_row(monkeypatch, spec):
+    values = [pmf_row(spec, k)[k] for k in range(61)]
+    oracle = importlib.import_module("redip.oracle")
+
+    def refuse(spec, bound):
+        raise AssertionError("dist_pmf built a row")
+
+    monkeypatch.setattr(oracle, "pmf_row", refuse)
+    assert [dist_pmf(spec, k) for k in range(61)] == values
+    assert dist_pmf(spec, -1) == 0
 
 
 def test_dist_pmf_binomial_row_sums_to_one():

@@ -1,12 +1,13 @@
 """Exact scalar layer: weight strings, decimal rendering, the infinity point."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redip.errors import InvalidWeight
+from redip.errors import InvalidWeight, RedipError
 from redip.rational import INF, decimal_str, format_weight, is_finite, parse_weight
 
 
@@ -39,6 +40,18 @@ def test_weight_string_round_trip(q):
 def test_format_weight_rejects_negative():
     with pytest.raises(InvalidWeight):
         format_weight(Fraction(-1, 2))
+
+
+def test_format_weight_refuses_a_value_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert format_weight(Fraction(1, 10**639)) == "1/1" + "0" * 639
+        with pytest.raises(RedipError, match="more digits than Python will print .640.; "
+                           "set PYTHONINTMAXSTRDIGITS=0"):
+            format_weight(Fraction(1, 10**640))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- decimals
