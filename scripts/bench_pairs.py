@@ -24,6 +24,17 @@ done unchanged. It prints each metric that differs with both values and exits
     python3 scripts/bench_pairs.py --counters --parent ../parent --change . \\
         --workload all --seed 7 --seconds 1
 
+With `--out BENCH_<n>.json` it also writes what it measured as JSON. Pairs
+write the change side's median, quartiles, minimum and maximum per metric,
+with the pair count and the seeds; `--counters` writes the number of count
+and bits metrics compared and the ones that differ. The file is updated, not
+replaced, so one file can hold a set of pairs and a counter check:
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \\
+        --out BENCH_<n>.json
+    python3 scripts/bench_pairs.py --counters --parent ../parent --change . \\
+        --out BENCH_<n>.json
+
 BENCHMARK.json is read from the change tree and never written.
 """
 
@@ -99,6 +110,25 @@ def summarize(parent: list[dict[str, float]], change: list[dict[str, float]],
     return rows
 
 
+def side_stats(runs: list[dict[str, float]]) -> dict[str, dict[str, float]]:
+    """Per metric of one side's runs: median, quartiles (as in `summarize`),
+    minimum and maximum."""
+    stats = {}
+    for name in runs[0]:
+        values = [run[name] for run in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+        stats[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
+                       "min": min(values), "max": max(values)}
+    return stats
+
+
+def update_out(path: Path, section: dict) -> None:
+    """Merge `section` into the JSON object at `path`, creating the file."""
+    doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    doc.update(section)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def format_table(rows: list[dict]) -> str:
     """The rows as a Markdown table."""
     out = ["| metric | parent median (range/median) | parent IQR | change median (range/median) "
@@ -124,12 +154,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair, or of both --counters runs")
     ap.add_argument("--counters", action="store_true",
                     help="compare the count and bits metrics of one traced run per tree")
+    ap.add_argument("--out", type=Path, help="JSON file to update with the results, such as BENCH_<n>.json")
     args = ap.parse_args(argv)
     if args.counters:
         runs = [run_once(tree, args.workload, args.seed, args.seconds, trace=1)
                 for tree in (args.parent, args.change)]
         compared, diffs = compare_counters(*runs)
         print("\n".join(diffs) if diffs else f"{compared} count and bits metrics compared, all equal")
+        if args.out:
+            update_out(args.out, {"counters": {"workload": args.workload, "seed": args.seed,
+                                               "seconds": args.seconds, "compared": compared, "diffs": diffs}})
         return 1 if diffs else 0
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent, change = [], []
@@ -141,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({name: m["value"] for name, m in metrics.items()})
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     print(format_table(summarize(parent, change, bounds_of(benchmark))))
+    if args.out:
+        update_out(args.out, {"workload": args.workload, "seconds": args.seconds, "pairs": args.pairs,
+                              "seeds": [args.seed + i for i in range(args.pairs)], "change": side_stats(change)})
     return 0
 
 

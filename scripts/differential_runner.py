@@ -3,6 +3,12 @@
 and check every coefficient against the step-by-step interpreter's
 truncation bracket. Any mismatch is printed with the offending program.
 
+Each posterior is checked too: `infer` reduces the automaton before it
+normalizes, so the posterior's coefficient table must equal the table of the
+normalized raw translation on the oracle's box (every variable up to the
+largest count the truncated enumeration reached). The runner counts the
+programs whose posterior the reduction shrank.
+
     PYTHONPATH=src python3 scripts/differential_runner.py --programs 500 --seed 7
 
 The programs are source text from the benchmark's generator
@@ -22,8 +28,25 @@ sys.dont_write_bytecode = True  # keep perfbench/ free of compiled files
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import corpus  # noqa: E402  (the benchmark's generator, imported read-only)
-from redip import parse_program, translate  # noqa: E402
-from redip.oracle import compare  # noqa: E402
+from redip import InfeasibleObservation, coefficient_table, infer, parse_program, translate  # noqa: E402
+from redip.analysis import normalize  # noqa: E402
+from redip.oracle import compare, enumerate_program  # noqa: E402
+
+
+def posterior_check(p, truncation: int) -> tuple[bool, list[str]]:
+    """Whether `infer` reduced the posterior, and how its coefficient table on
+    the oracle's box differs from that of the normalized raw translation."""
+    try:
+        result = infer(p)
+    except InfeasibleObservation:
+        return False, []
+    terminal = enumerate_program(p, result.alphabet, truncation).terminal
+    box = {v: max((sig[i] for sig in terminal), default=0) for i, v in enumerate(result.alphabet)}
+    got, want = coefficient_table(result.posterior, box), coefficient_table(normalize(result.unnormalized), box)
+    diffs = [f"posterior coefficient {key}: {got[key]}, raw {want[key]}" for key in want if got[key] != want[key]]
+    if got.total != want.total:
+        diffs.append(f"posterior mass {got.total}, raw {want.total}")
+    return result.posterior.num_states < result.unnormalized.num_states, diffs
 
 
 def main() -> int:
@@ -39,6 +62,7 @@ def main() -> int:
     finite_support = 0
     worst_residual = Fraction(0)
     peak_size = 0
+    reduced = 0
     for i in range(args.programs):
         source, _ = corpus.random_program(rng)
         p = parse_program(source)
@@ -49,11 +73,13 @@ def main() -> int:
         if res.residual == 0:
             finite_support += 1
         worst_residual = max(worst_residual, res.residual)
-        if not res.ok:
+        shrunk, diffs = posterior_check(p, args.truncation)
+        reduced += shrunk
+        if not res.ok or diffs:
             failures += 1
             print(f"MISMATCH in program {i} (worst discrepancy {res.worst_discrepancy}):")
             print("  " + source)
-            for line in res.mismatches[:5]:
+            for line in (res.mismatches + diffs)[:5]:
                 print("  " + line)
 
     elapsed = time.time() - t0
@@ -62,6 +88,7 @@ def main() -> int:
     print(f"finite support: {finite_support}, rest bracketed "
           f"with residual <= {float(worst_residual):.3g}")
     print(f"largest intermediate automaton: {peak_size} transitions")
+    print(f"posteriors reduced: {reduced}; every posterior's table was compared with the raw one's")
     print("FAIL" if failures else "OK: translation and interpreter agree everywhere")
     return 1 if failures else 0
 

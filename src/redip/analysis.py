@@ -19,6 +19,11 @@ elimination. Every route reads one linear view of a trimmed system,
 applies (I - M)^-1, or (I - M_eps)^-1 with `eps=True`, each factored on first
 use; `step` adds M_x v into a right-hand side. All of it runs on integer pairs
 (see `linsolve`): a `Fraction` is built only for each value returned.
+
+`_reduced`, run by `infer` before it solves for z, swaps an automaton for the
+span of its forward vectors α·E·M_w·E when that is smaller and nonnegative:
+the same series, z and answers. `_forward_span` builds it on a `_System` of
+the reversed arcs, whose `solve(v, eps=True)` is v·E and whose `step` adds v·M_x.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from typing import Mapping, Optional, Sequence
 from .constructions import _useful_pairs
 from .errors import InfiniteMass, InvalidParameter, UnknownVariable, ZeroMass
 from .guards import GuardDfa
-from .linsolve import PAIR_ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min, sub_product
-from .pga import Pga, Symbol, reach_and_coreach, trim
+from .linsolve import ONE, PAIR_ONE, ZERO, FactoredSystem, Pair, SingularSystem, simplex_min, sub_product
+from .pga import Edge, Pga, Symbol, make_pga, reach_and_coreach, trim
 from .rational import INF, ExtRational, is_finite
 
 _Vector = dict[int, tuple[int, int]]  # state -> nonzero entry as a (numerator, denominator) pair
@@ -92,6 +97,69 @@ class _System:
         except SingularSystem:
             return INF
         return INF if any(num < 0 for num, _ in sol.values()) else _dot(self.initial, sol)
+
+
+def _forward_span(n: int, arcs: Sequence[Edge], start: Mapping[int, Fraction],
+                  final: Mapping[int, Fraction]) -> Optional[tuple[list[Edge], list[Fraction]]]:
+    """The span of the forward vectors α·E·M_w·E over words w, E = (I - M_eps)^-1,
+    as the arcs and final weights of an automaton with no unlabeled arc: state i
+    is basis vector b_i, b_0 = α·E starts, b_i·M_a·E = Σ_j w·b_j over arcs
+    (i, j, w, a), and b_i·F is b_i's final weight. Candidates come breadth first,
+    letters sorted, and reduce in one pass against echelon rows pivoted at their
+    smallest state: an independent one is a new state reached by weight 1, a
+    dependent one's coordinates are arcs. None once the basis has n vectors."""
+    system = _System(n, [(dst, src, w, s) for src, dst, w, s in arcs], final, start)  # solves v·E
+    letters = sorted({s for *_, s in arcs if s is not None})
+    eps = any(s is None for *_, s in arcs)  # else E = I
+    basis: list[_Vector] = []
+    rows: list[tuple[int, Pair, _Vector, _Vector]] = []  # pivot, -1/row[pivot], row, row over the basis
+    out: list[Edge] = []
+    todo = deque([(-1, "", {q: (w.numerator, w.denominator) for q, w in start.items() if w})])
+    while todo:
+        src, letter, vec = todo.popleft()  # vec = b_src·M_letter, or α
+        if eps:  # v·E, else v - 0: v in lowest terms
+            vec = system.solve(vec, eps=True)
+        else:
+            vec = {q: sub_product(v, (0, 1), (0, 1)) for q, v in vec.items()}
+        residual, minus = {q: v for q, v in vec.items() if v[0]}, {}  # vec = residual - Σ minus[j]·b_j
+        for pivot, (sn, sd), row, over in rows:
+            if (r := residual.get(pivot)) is not None:
+                c = (-r[0] * sn, r[1] * sd)  # residual[pivot] / row[pivot]
+                for target, entries in ((residual, row), (minus, over)):
+                    for q, v in entries.items():
+                        if (value := sub_product(target.get(q, (0, 1)), c, v)).numerator:
+                            target[q] = value
+                        else:
+                            del target[q]
+        if not residual:
+            out += [Edge(src, j, Fraction(-cn, cd), letter) for j, (cn, cd) in minus.items()]
+            continue
+        if src >= 0:
+            out.append(Edge(src, len(basis), ONE, letter))
+        minus[len(basis)] = PAIR_ONE
+        basis.append(vec)
+        if len(basis) == n:
+            return None
+        pn, pd = residual[pivot := min(residual)]
+        rows.append((pivot, Pair(-pd, pn) if pn > 0 else Pair(pd, -pn), residual, minus))
+        for a in letters:
+            system.step(a, vec, rhs := {})
+            todo.append((len(basis) - 1, a, rhs))
+    return out, [_dot(final, b) for b in basis]
+
+
+def _reduced(a: Pga) -> Pga:
+    """`a`'s forward span when it has fewer states, no more edges and no
+    negative weight, else `a`. A one-state or a deterministic automaton (one
+    initial state, no unlabeled arc, one arc per state and letter) spans every
+    state's unit vector, so it is not spanned."""
+    if a.num_states == 1 or (len(a.initial) == 1 and all(e.symbol for e in a.edges)
+                             and len({(e.src, e.symbol) for e in a.edges}) == a.size):
+        return a
+    arcs, final = _forward_span(a.num_states, a.edges, a.initial, a.final) or ([], [])
+    if not final or len(arcs) > a.size or any(w.numerator < 0 for w in [*(e.weight for e in arcs), *final]):
+        return a
+    return make_pga(a.alphabet, len(final), arcs, {0: ONE}, dict(enumerate(final)))
 
 
 def mass(a: Pga, dfa: Optional[GuardDfa] = None, method: str = "elimination") -> ExtRational:

@@ -123,6 +123,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         for s in result.steps:
             sizes = f"{s.pre_trim_size:>5} -> {s.post_trim_size:<5} {s.states:>5}"
             lines.append(f"  {s.construction:<17} {sizes}  {s.detail}")
+        raw, posterior = result.unnormalized, result.posterior
+        doc.update(posterior_states=posterior.num_states, posterior_edges=posterior.size)
+        lines.append(f"posterior: {raw.num_states} -> {posterior.num_states} states, "
+                     f"{raw.size} -> {posterior.size} transitions")
 
     target = result.unnormalized if args.unnormalized else result.posterior
     if args.out:

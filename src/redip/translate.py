@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .analysis import coefficient_table, mass, normalize
+from .analysis import _reduced, coefficient_table, mass, normalize
 from .constructions import (
     concat,
     decrement,
@@ -184,11 +184,12 @@ class InferenceResult:
 
 
 def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
-    """Exact posterior inference: translate, compute the normalizing constant,
-    and rescale. Raises InfeasibleObservation when every run violates an
-    observation."""
+    """Exact posterior inference: translate, reduce exactly (`analysis._reduced`),
+    compute the normalizing constant on the reduced automaton, and rescale it.
+    `unnormalized` and `steps` stay the raw translation's. Raises
+    InfeasibleObservation when every run violates an observation."""
     tr = translate(p, prior)
-    z = mass(tr.automaton)
+    z = mass(reduced := _reduced(tr.automaton))
     # increments preserve mass and filtering only removes it, so z is a
     # probability; a diverging z would mean the translation itself is broken
     if not (is_finite(z) and z <= tr.prior_mass):
@@ -197,7 +198,7 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
         )
     if z == 0:
         raise InfeasibleObservation("all program runs violate an observation")
-    posterior = normalize(tr.automaton)
+    posterior = normalize(reduced)
     return InferenceResult(
         alphabet=tr.alphabet,
         unnormalized=tr.automaton,

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import sys
 
 import pytest
 
-from redip import pga_from_json, pga_to_json, make_pga, Edge, infer, parse_program
+from redip import pga_from_json, pga_to_json, make_pga, Edge, infer, parse_program, translate
 from redip.errors import RedipSyntaxError
 from redip.cli import main
 
@@ -121,6 +122,30 @@ def test_infer_steps_json_carries_kept_states(program, capsys):
     assert [(s["post_trim_size"], s["states"]) for s in steps] == [
         (s.post_trim_size, s.states) for s in result.steps
     ]
+
+
+GEO_CHAIN = ";\n".join(["x += geometric(1/2)"] * 14 + ["observe(x < 42)", "y += x", "observe(y % 5 == 2)"])
+
+
+def test_infer_steps_end_with_the_posterior_size(tmp_path, capsys):
+    path = tmp_path / "geo.redip"
+    path.write_text(GEO_CHAIN)
+    assert main(["infer", str(path), "--steps"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "posterior: 1024 -> 75 states, 1504 -> 74 transitions"
+    assert main(["infer", str(path)]) == 0
+    assert "posterior:" not in capsys.readouterr().out
+
+
+def test_infer_steps_json_carries_the_posterior_size(tmp_path, capsys):
+    path = tmp_path / "geo.redip"
+    path.write_text(GEO_CHAIN)
+    assert main(["infer", str(path), "--steps", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["posterior_states"], doc["posterior_edges"]) == (75, 74)
+    # the step records are the translation's, untouched by the reduction
+    assert doc["steps"] == [dataclasses.asdict(s) for s in translate(parse_program(GEO_CHAIN)).steps]
+    assert doc["steps"][-1]["states"] == 1024
 
 
 def test_infer_negative_marginal_bound_exit_code(program, capsys):

@@ -449,8 +449,9 @@ def test_bad_distribution_parameter_reports_at_the_name():
 
 
 def test_pickled_program_hashes_afresh_in_another_process():
-    """Compound nodes cache their hash, which depends on the process's string
-    hash seed, so a pickle must not carry it to another process."""
+    """A program pickled in one process and loaded in another, with a
+    different string hash seed, compares and hashes equal to the same
+    program freshly parsed there: it finds itself as a dict key."""
     source = "{ x += 1 } [1/2] { skip }; if (x == 0) { y += x } else { skip }"
     code = (
         "import pickle, sys\n"

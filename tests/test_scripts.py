@@ -110,3 +110,40 @@ def test_bench_pairs_counters_of_canned_runs(monkeypatch, capsys):
         assert bench_pairs.main(argv + ["--change", name]) == status
         assert out in capsys.readouterr().out
         assert calls == [("parent", "all", 7, 1.0, 1), (name, "all", 7, 1.0, 1)]
+
+
+def test_bench_pairs_out_of_canned_runs(monkeypatch, tmp_path, capsys):
+    """`--out` writes the change side's median, quartiles and range per
+    metric, the pair count and the seeds; `--counters --out` adds the counter
+    check to the same file and keeps what is there."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.pop(0)
+    query_s = {("parent", 4): 0.10, ("parent", 5): 0.12, ("parent", 6): 0.11,
+               (ROOT.name, 4): 0.05, (ROOT.name, 5): 0.08, (ROOT.name, 6): 0.06}
+
+    def canned(tree, workload, seed, seconds, trace=0):
+        if trace:
+            return {"geo-chain.linsolve.factor.dim": {"value": 75 if tree == ROOT else 1024, "unit": "count"}}
+        return {"geo-chain.query_s": {"value": query_s[tree.name, seed], "unit": "s"},
+                "geo-chain.posterior_states": {"value": 75 if tree == ROOT else 1024, "unit": "count"}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    out = tmp_path / "BENCH_1.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(ROOT), "--seed", "4", "--seconds", "1",
+            "--out", str(out)]
+    assert bench_pairs.main(argv + ["--pairs", "3"]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert (doc["pairs"], doc["seeds"], doc["workload"], doc["seconds"]) == (3, [4, 5, 6], "all", 1.0)
+    query = doc["change"]["geo-chain.query_s"]
+    assert (query["median"], query["min"], query["max"]) == (0.06, 0.05, 0.08)
+    assert (round(query["q1"], 9), round(query["q3"], 9)) == (0.05, 0.08)  # quartiles of three runs
+    assert doc["change"]["geo-chain.posterior_states"]["median"] == 75
+    assert bench_pairs.main(argv + ["--counters"]) == 1
+    assert "parent 1024, change 75" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["counters"] == {"workload": "all", "seed": 4, "seconds": 1.0, "compared": 1,
+                               "diffs": ["geo-chain.linsolve.factor.dim: parent 1024, change 75"]}
+    assert doc["pairs"] == 3 and "geo-chain.query_s" in doc["change"]
