@@ -20,8 +20,8 @@ applies (I - M)^-1, or (I - M_eps)^-1 with `eps=True`, each factored on first
 use; `step` adds M_x v into a right-hand side. All of it runs on integer pairs
 (see `linsolve`): a `Fraction` is built only for each value returned.
 
-`_reduced`, run by `infer` before it solves for z, swaps an automaton for the
-span of its forward vectors α·E·M_w·E when that is smaller and nonnegative:
+`_reduced`, run by `translate` on each step but a concat, swaps an automaton
+for the span of its forward vectors α·E·M_w·E when smaller and nonnegative:
 the same series, z and answers. `_forward_span` builds it on a `_System` of
 the reversed arcs, whose `solve(v, eps=True)` is v·E and whose `step` adds v·M_x.
 """

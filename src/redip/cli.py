@@ -123,10 +123,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
         for s in result.steps:
             sizes = f"{s.pre_trim_size:>5} -> {s.post_trim_size:<5} {s.states:>5}"
             lines.append(f"  {s.construction:<17} {sizes}  {s.detail}")
-        raw, posterior = result.unnormalized, result.posterior
+        posterior = result.posterior
         doc.update(posterior_states=posterior.num_states, posterior_edges=posterior.size)
-        lines.append(f"posterior: {raw.num_states} -> {posterior.num_states} states, "
-                     f"{raw.size} -> {posterior.size} transitions")
+        lines.append(f"posterior: {posterior.num_states} states, {posterior.size} transitions")
 
     target = result.unnormalized if args.unnormalized else result.posterior
     if args.out:
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--upto", type=int, default=10, help="largest marginal point shown")
     sp.add_argument("--steps", action="store_true", help="show per-construction sizes")
     sp.add_argument("--unnormalized", action="store_true",
-                    help="save the unnormalized automaton instead of the posterior")
+                    help="save the unnormalized, step-reduced translation instead of the posterior")
     sp.add_argument("-o", "--out", help="write the resulting automaton JSON here")
 
     sp = command("query", cmd_query, "query a stored automaton", "automaton JSON file",

@@ -19,7 +19,8 @@ accumulated so far (starting from the prior):
 After every construction the automaton is trimmed, then contracted: each
 unlabeled arc that is a state's only way out or in is folded into its
 neighbours, so the bridges of concat, transition-subst and `x--` do not pile
-up. A step records its raw size, checked against theory's growth bounds, and
+up. Every step but a concat is then reduced exactly (`analysis._reduced`).
+A step records its raw size, checked against theory's growth bounds, and
 the edges and states it keeps. A statement's step is named by its printed
 text, `program_to_text`; the choice, filter and join steps name their split.
 The product is the construction for `observe`, `if` and (inside it) `x--`;
@@ -103,7 +104,9 @@ class _Translator:
         self.steps: list[StepRecord] = []
 
     def record(self, construction: str, detail: str, raw: Pga) -> Pga:
+        """Trim and contract `raw`, then reduce it unless it is a concat: its span seldom shrinks."""
         kept = contract(trim(raw))
+        kept = kept if construction == "concat" else _reduced(kept)
         self.steps.append(StepRecord(construction, detail, raw.size, kept.size, kept.num_states))
         return kept
 
@@ -160,8 +163,8 @@ def working_alphabet(p: Program, prior: Optional[Pga]) -> tuple[str, ...]:
 
 
 def translate(p: Program, prior: Optional[Pga] = None) -> TranslationResult:
-    """Run the program through the automaton constructions, starting from the
-    prior (default: point mass at the all-zero valuation)."""
+    """Run the program through the automaton constructions, each step reduced,
+    starting from the prior (default: point mass at the all-zero valuation)."""
     alphabet = working_alphabet(p, prior)
     start = unit_pga(alphabet) if prior is None else extend_alphabet(prior, alphabet)
     prior_mass = mass(start)
@@ -184,12 +187,11 @@ class InferenceResult:
 
 
 def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
-    """Exact posterior inference: translate, reduce exactly (`analysis._reduced`),
-    compute the normalizing constant on the reduced automaton, and rescale it.
-    `unnormalized` and `steps` stay the raw translation's. Raises
-    InfeasibleObservation when every run violates an observation."""
+    """Exact posterior inference: translate (each step reduced), solve for the
+    normalizing constant on the translation, `unnormalized`, and rescale it.
+    Raises InfeasibleObservation when every run violates an observation."""
     tr = translate(p, prior)
-    z = mass(reduced := _reduced(tr.automaton))
+    z = mass(tr.automaton)
     # increments preserve mass and filtering only removes it, so z is a
     # probability; a diverging z would mean the translation itself is broken
     if not (is_finite(z) and z <= tr.prior_mass):
@@ -198,11 +200,10 @@ def infer(p: Program, prior: Optional[Pga] = None) -> InferenceResult:
         )
     if z == 0:
         raise InfeasibleObservation("all program runs violate an observation")
-    posterior = normalize(reduced)
     return InferenceResult(
         alphabet=tr.alphabet,
         unnormalized=tr.automaton,
-        posterior=posterior,
+        posterior=normalize(tr.automaton),
         normalizing_constant=z,
         prior_mass=tr.prior_mass,
         violation_mass=tr.prior_mass - z,

@@ -132,7 +132,7 @@ def test_infer_steps_end_with_the_posterior_size(tmp_path, capsys):
     path.write_text(GEO_CHAIN)
     assert main(["infer", str(path), "--steps"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "posterior: 1024 -> 75 states, 1504 -> 74 transitions"
+    assert lines[-1] == "posterior: 75 states, 74 transitions"
     assert main(["infer", str(path)]) == 0
     assert "posterior:" not in capsys.readouterr().out
 
@@ -143,9 +143,9 @@ def test_infer_steps_json_carries_the_posterior_size(tmp_path, capsys):
     assert main(["infer", str(path), "--steps", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["posterior_states"], doc["posterior_edges"]) == (75, 74)
-    # the step records are the translation's, untouched by the reduction
+    # the step records are the translation's, and its last step keeps the posterior's states
     assert doc["steps"] == [dataclasses.asdict(s) for s in translate(parse_program(GEO_CHAIN)).steps]
-    assert doc["steps"][-1]["states"] == 1024
+    assert doc["steps"][-1]["states"] == 75
 
 
 def test_infer_negative_marginal_bound_exit_code(program, capsys):

@@ -1,10 +1,12 @@
-"""The forward reduction that `infer` runs before it solves for z, checked by
-exact equivalence: the span routine itself, run on the difference of the raw
-and the reduced automaton (α₁ ⊕ −α₂, block-diagonal arcs, F₁ ⊕ F₂), must find
-every basis vector with final weight 0 (Tzeng, SIAM J. Comput. 1992). Equal
-word series imply equal commutative series, so this proves the posterior."""
+"""The forward reduction that `translate` runs after each step, checked by
+exact equivalence: the span routine itself, run on the difference of the
+unreduced and the reduced automaton (α₁ ⊕ −α₂, block-diagonal arcs, F₁ ⊕ F₂),
+must find every basis vector with final weight 0 (Tzeng, SIAM J. Comput.
+1992). Equal word series imply equal commutative series, so this proves the
+posterior. The unreduced reference is `infer` with the reduction switched off."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redip import Edge, InfeasibleObservation, infer, make_pga, parse_program
-from redip.analysis import _forward_span, _reduced, normalize
+from redip.analysis import _forward_span, _reduced
 from redip.pga import Pga
 
 from conftest import rand_program
@@ -43,17 +45,28 @@ NAMED = {
 }
 
 
-def check_posterior(result):
-    raw, posterior = result.unnormalized, result.posterior
-    assert posterior.num_states <= raw.num_states and posterior.size <= raw.size
+def unreduced(p):
+    """`infer(p)` with every step's reduction switched off: the raw translation."""
+    with pytest.MonkeyPatch.context() as mp:
+        # `redip.translate` names the function, so the module is found in sys.modules
+        mp.setattr(sys.modules["redip.translate"], "_reduced", lambda a: a)
+        return infer(p)
+
+
+def check_posterior(p):
+    result, raw = infer(p), unreduced(p).posterior
+    posterior = result.posterior
+    # no edge bound: a step's span starts from one initial state, so a later
+    # step can end an edge or two longer than the unreduced translation
+    assert posterior.num_states <= raw.num_states
     weights = [*(e.weight for e in posterior.edges), *posterior.initial.values(), *posterior.final.values()]
     assert all(w >= 0 for w in weights)
-    assert equivalent(normalize(raw), posterior)
+    assert equivalent(raw, posterior)
 
 
 @pytest.mark.parametrize("name", list(NAMED))
 def test_reduced_posterior_is_equivalent_to_the_raw_one(name):
-    check_posterior(infer(parse_program(NAMED[name])))
+    check_posterior(parse_program(NAMED[name]))
 
 
 def test_reduction_sizes_follow_the_posterior():
@@ -64,21 +77,33 @@ def test_reduction_sizes_follow_the_posterior():
     assert sizes["shift n=20"] == (30, 29)
 
 
+def test_every_step_stays_at_the_posterior_scale():
+    geo = infer(parse_program(geo_chain(14)))
+    assert [s.states for s in geo.steps[-3:]] == [42, 83, 75]
+    two = infer(parse_program("; ".join(["{ x += 1 } [1/2] { y += 1 }"] * 12)))
+    assert max(s.states for s in two.steps) <= 14
+    assert (two.posterior.num_states, two.posterior.size) == (14, 24)
+    one = infer(parse_program("; ".join(["{ x += 1 } [1/2] { x += 2 }"] * 10)))
+    assert max(s.states for s in one.steps) <= 21
+    ladder = infer(parse_program("; ".join(["x += bernoulli(1/2); x--"] * 9)))
+    assert max(s.states for s in ladder.steps) <= 2 and ladder.posterior.num_states == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_reduced_posteriors_of_random_programs_are_equivalent(seed):
     rng = random.Random(seed)
+    p = rand_program(rng, size=rng.randint(1, 8))
     try:
-        result = infer(rand_program(rng, size=rng.randint(1, 8)))
+        check_posterior(p)
     except InfeasibleObservation:
         return
-    check_posterior(result)
 
 
 def test_difference_check_catches_a_scaled_edge_and_a_dropped_basis_vector():
-    raw = normalize(infer(parse_program(geo_chain(6))).unnormalized)
-    reduced = _reduced(raw)
-    assert reduced.num_states == 35 and equivalent(raw, reduced)
+    p = parse_program(geo_chain(6))
+    raw, reduced = unreduced(p).posterior, infer(p).posterior
+    assert raw.num_states > reduced.num_states == 35 and equivalent(raw, reduced)
     first, *rest = reduced.edges
     doubled = make_pga(reduced.alphabet, reduced.num_states, [first._replace(weight=2 * first.weight), *rest],
                        reduced.initial, reduced.final)
