@@ -9,10 +9,10 @@ acceptance; the mass is the initial-weight combination of that vector.
 a guard DFA, the useful pairs of automaton and DFA states, which are the
 states of the trimmed product with the guard's counting automaton; the walk
 in `constructions` lists them without ever building the product. On
-such a system exact Gaussian elimination on (I - M) B = F is conclusive: any
-nonnegative solution bounds every partial sum of the series, so a nonsingular
-system with a nonnegative solution gives the least one, and a singular system
-or a negative component certifies divergence. The exact simplex
+such a system the least solution is finite exactly when I - M is a
+nonsingular M-matrix, and then it is (I - M)^-1 F: exact Gaussian elimination
+pivots on the diagonal with no search, and a pivot that is not positive
+certifies divergence. The exact simplex
 (`method="lp"`) is not a production route; it is kept only to cross-check
 elimination. Every route reads one linear view of a trimmed system,
 `_System`: arcs give M, the unlabeled M_eps and one M_x per letter; `solve`
@@ -93,10 +93,9 @@ class _System:
             value = simplex_min([self.initial.get(q, ZERO) for q in range(self.n)], dense, f)
             return INF if value is None else value
         try:
-            sol = self.solve(self.final)
-        except SingularSystem:
+            return _dot(self.initial, self.solve(self.final))
+        except SingularSystem:  # a pivot that is not positive: the spectral radius of M is >= 1
             return INF
-        return INF if any(num < 0 for num, _ in sol.values()) else _dot(self.initial, sol)
 
 
 def _forward_span(n: int, arcs: Sequence[Edge], start: Mapping[int, Fraction],

@@ -13,9 +13,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .analysis import mass
-from .constructions import concat
 from .errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter, UnknownVariable
-from .pga import Pga, make_pga, unit_pga
+from .pga import Pga, make_pga
 from .serialize import load_pga
 
 
@@ -109,11 +108,9 @@ def build_dist_pga(spec: DistSpec, var: str, alphabet: Sequence[str]) -> Pga:
     hosted on the full program alphabet."""
     if var not in alphabet:
         raise UnknownVariable(f"{var!r} not in alphabet {tuple(alphabet)}")
+    if not getattr(spec, "trials", getattr(spec, "successes", 1)):
+        spec = Dirac(0)  # no draw: the unit automaton
     # make_pga drops the zero weights of the p = 0 and p = 1 cases
-    if isinstance(spec, Geometric):
-        return make_pga(alphabet, 1, [(0, 0, 1 - spec.p, var)], {0: 1}, {0: spec.p})
-    if isinstance(spec, Bernoulli):
-        return make_pga(alphabet, 2, [(0, 1, spec.p, var)], {0: 1}, {0: 1 - spec.p, 1: 1})
     if isinstance(spec, Dirac):
         n = spec.value
         edges = [(i, i + 1, Fraction(1), var) for i in range(n)]
@@ -123,19 +120,16 @@ def build_dist_pga(spec: DistSpec, var: str, alphabet: Sequence[str]) -> Pga:
         edges = [(i, i + 1, Fraction(1), var) for i in range(m - 1)]
         share = Fraction(1, m)
         return make_pga(alphabet, m, edges, {0: 1}, {i: share for i in range(m)})
-    if isinstance(spec, (Binomial, NegBinomial)):
-        # n independent draws: n chained copies of the one-draw automaton
-        if isinstance(spec, Binomial):
-            n, draw = spec.trials, Bernoulli(spec.p)
-        else:
-            n, draw = spec.successes, Geometric(spec.p)
-        if n == 0:
-            return unit_pga(alphabet)
-        one = build_dist_pga(draw, var, alphabet)
-        out = one
-        for _ in range(n - 1):
-            out = concat(out, one)
-        return out
+    if isinstance(spec, (Bernoulli, Binomial)):
+        # one chain: state i has made i draws, with an x-arc per success
+        n, p = getattr(spec, "trials", 1), spec.p
+        edges = [(i, i + 1, p, var) for i in range(n)] + [(i, i + 1, 1 - p, None) for i in range(n - 1)]
+        return make_pga(alphabet, n + 1, edges, {0: 1}, {n - 1: 1 - p, n: 1})
+    if isinstance(spec, (Geometric, NegBinomial)):
+        # one chain: state i has seen i successes, with an x-loop per failure
+        r, p = getattr(spec, "successes", 1), spec.p
+        edges = [(i, i, 1 - p, var) for i in range(r)] + [(i, i + 1, p, None) for i in range(r - 1)]
+        return make_pga(alphabet, r, edges, {0: 1}, {r - 1: p})
     if isinstance(spec, Custom):
         return _build_custom(spec, var, alphabet)
     raise InvalidParameter(f"not a distribution: {spec!r}")

@@ -3,16 +3,18 @@
 The production route to the least nonnegative solution of B = M B + F is
 Gaussian elimination on (I - M) B = F with :class:`FactoredSystem`
 (`analysis.mass`). On a trimmed system (every state reachable and
-co-reachable with positive weight) it is conclusive: a unique solution that
-is componentwise nonnegative is the least one, and a singular system or a
-negative component means the least solution diverges.
+co-reachable with positive weight) the least solution is finite exactly when
+the spectral radius of M is below one, that is when I - M is a nonsingular
+M-matrix; elimination then needs no pivot search, and a pivot that is not
+positive certifies divergence.
 
 :class:`FactoredSystem` pivots one strongly connected component of the row
-graph at a time, sources first (:func:`strongly_connected_components`). The
-acyclic part of a system then costs one pass over its entries to factor;
-only states on a cycle are eliminated. A solve pays only for the solution
-entries that can be nonzero: it back-substitutes just the pivots that the
-right-hand side's nonzero entries reach (Gilbert & Peierls).
+graph at a time, sources first (:func:`strongly_connected_components`), each
+row on its diagonal. The acyclic part of a system then costs one pass over
+its entries to factor; only states on a cycle are eliminated. A solve pays
+only for the solution entries that can be nonzero: it back-substitutes just
+the pivots that the right-hand side's nonzero entries reach (Gilbert &
+Peierls).
 
 :func:`simplex_min` is an exact two-phase simplex for
 `min I.B  s.t.  (I - M) B = F, B >= 0` (Bland's rule, so it terminates),
@@ -47,7 +49,7 @@ def sub_product(a: tuple[int, int], f: tuple[int, int], v: tuple[int, int]) -> P
 
 
 class SingularSystem(Exception):
-    """The coefficient matrix has no unique solution."""
+    """A pivot is not positive: the matrix is not a nonsingular M-matrix."""
 
 
 def closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
@@ -109,17 +111,21 @@ def strongly_connected_components(n: int, succ: Sequence[Iterable[int]]) -> list
 
 
 class FactoredSystem:
-    """Sparse LU-style factorization of a square rational matrix.
+    """Sparse LU-style factorization of I - M for a nonnegative M of spectral
+    radius below one: a nonsingular M-matrix.
 
     Rows are dicts column -> reduced Pair. Row i depends on the columns it
     holds, a graph i -> c whose strongly connected components are pivoted
-    sources first, so no remaining row ever holds a pivoted column. A singleton
-    pivots on its diagonal with no elimination; a cyclic component is
-    eliminated greedily by row sparsity within its own rows and columns.
-    Factoring costs one pass over the entries plus that elimination. The matrix
-    is singular iff some component is. The factorization can be replayed
-    against many right-hand sides via :meth:`solve`, whose back-substitution
-    touches only the entries of the pivots it can reach.
+    sources first, so no remaining row ever holds a pivoted column. Every row
+    pivots on its own diagonal: a singleton with no elimination, a cyclic
+    component's rows in the order `strongly_connected_components` lists them.
+    An M-matrix needs no pivot search, and its pivots are all positive exactly
+    when it is nonsingular (Berman & Plemmons, ch. 6), so a pivot that is not
+    positive raises SingularSystem: for I - M with M >= 0 it certifies that
+    the spectral radius of M is at least one. Factoring costs one pass over
+    the entries plus the cyclic components' elimination. The factorization can
+    be replayed against many right-hand sides via :meth:`solve`, whose
+    back-substitution touches only the entries of the pivots it can reach.
     """
 
     def __init__(self, n: int, rows: list[dict[int, Pair]]):
@@ -129,66 +135,58 @@ class FactoredSystem:
         self.n = n
         # (target_row, pivot_row, factor): rhs[target] -= factor * rhs[pivot]
         self.ops: list[tuple[int, int, Pair]] = []
-        # (pivot_row, pivot_col, row_dict) in elimination order; with ops, the only factor copy
+        # (pivot_row, pivot_col, row_dict) in elimination order, pivot_col == pivot_row;
+        # with ops, the only factor copy
         self.pivots: list[tuple[int, int, dict[int, Pair]]] = []
         for component in reversed(strongly_connected_components(n, work)):
             i = component[0]
             if len(component) > 1:
                 self._eliminate(component, work)
-            elif i in work[i]:
+            elif work[i].get(i, (0, 1))[0] > 0:
                 self.pivots.append((i, i, work[i]))
             else:
-                raise SingularSystem(f"no diagonal entry in acyclic row {i}")
-        # pivot k's column feeds every pivot whose row holds it; back-substitution
-        # runs from the last pivot to the first, so each must come before k
-        rank = {col: k for k, (_, col, _) in enumerate(self.pivots)}
+                raise SingularSystem(f"pivot {i} is not positive")
+        # pivot k's column feeds every pivot whose row holds it; sources first,
+        # each such pivot comes before k, and back-substitution runs backwards
         self._rank_of_row = [0] * n
+        for k, (i, _, _) in enumerate(self.pivots):
+            self._rank_of_row[i] = k
         self._feeds: list[list[int]] = [[] for _ in self.pivots]
-        for k, (pivot_row, pivot_col, row) in enumerate(self.pivots):
-            self._rank_of_row[pivot_row] = k
+        for k, (i, _, row) in enumerate(self.pivots):
             for c in row:
-                if c != pivot_col:
-                    if (r := rank.get(c, -1)) <= k:
-                        raise SingularSystem("back-substitution would hit an unsolved column")
-                    self._feeds[r].append(k)
+                if c != i:
+                    self._feeds[self._rank_of_row[c]].append(k)
 
     def _eliminate(self, component: list[int], work: list[dict[int, Pair]]) -> None:
-        """Pivot only on the component's own columns; fill-in can reach
-        columns of later components, which back-substitution solves first."""
-        members = set(component)
-        col_owner: dict[int, list[int]] = {}
+        """Pivot the component's rows on their diagonals in order; fill-in can
+        reach columns of later components, which back-substitution solves first."""
+        owners: dict[int, list[int]] = {i: [] for i in component}  # column -> rows holding it
         for i in component:
             for c in work[i]:
-                if c in members:
-                    col_owner.setdefault(c, []).append(i)
+                if c in owners:
+                    owners[c].append(i)
         remaining = set(component)
-        while remaining:
-            pivot_row = min(remaining, key=lambda i: (len(work[i]), i))
-            row = work[pivot_row]
-            cols = [c for c in row if c in members]
-            if not cols:
-                raise SingularSystem(f"row {pivot_row} has no pivot in its component")
-            pivot_col = min(cols, key=lambda c: (len(col_owner[c]), c))
-            pn, pd = row[pivot_col]
-            minus_inverse = (-pd, pn) if pn > 0 else (pd, -pn)  # -1 / pivot
-            remaining.discard(pivot_row)
-            for other in list(col_owner[pivot_col]):
-                if other not in remaining:
-                    continue
+        for i in component:
+            row = work[i]
+            pn, pd = row.get(i, (0, 1))
+            if pn <= 0:
+                raise SingularSystem(f"pivot {i} is not positive")
+            remaining.discard(i)
+            for other in owners[i]:
                 orow = work[other]
-                if pivot_col not in orow:
+                if other not in remaining or i not in orow:
                     continue
-                factor = sub_product((0, 1), orow[pivot_col], minus_inverse)  # coef / pivot
-                self.ops.append((other, pivot_row, factor))
+                factor = sub_product((0, 1), orow[i], (-pd, pn))  # coef / pivot
+                self.ops.append((other, i, factor))
                 for c, v in row.items():
                     nv = sub_product(orow.get(c, (0, 1)), factor, v)
                     if not nv.numerator:
                         orow.pop(c, None)
                     else:
-                        if c not in orow and c in members:
-                            col_owner[c].append(other)
+                        if c not in orow and c in owners:
+                            owners[c].append(other)
                         orow[c] = nv
-            self.pivots.append((pivot_row, pivot_col, row))
+            self.pivots.append((i, i, row))
 
     def solve(self, rhs: Mapping[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
         """Solve A x = rhs for the factored A: rhs maps rows to entries, the
@@ -213,7 +211,7 @@ class FactoredSystem:
             if an:
                 dn, dd = row[pivot_col]
                 an, ad = an * dd, ad * dn
-                g = gcd(an, ad) if ad > 0 else -gcd(an, ad)
+                g = gcd(an, ad)
                 x[pivot_col] = (an // g, ad // g)
         return x
 

@@ -329,6 +329,37 @@ def test_check_rejects_malformed_json(tmp_path, capsys):
     assert main(["check", str(path)]) == 3
 
 
+def test_check_notes_an_unreachable_and_a_dead_state(tmp_path, capsys):
+    # state 1 has no arc in; state 2 is entered but has no way to a final weight
+    edges = [Edge(0, 2, Fraction(1, 2), "x"), Edge(1, 0, Fraction(1), "x")]
+    a = make_pga(("x",), 3, edges, {0: Fraction(1)}, {0: Fraction(1, 2)})
+    path = tmp_path / "untrimmed.json"
+    path.write_text(pga_to_json(a))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "mass: 1/2\n"
+        "note: state 1 unreachable from any initial state\n"
+        "note: state 2 cannot reach any final state\n"
+        "ok: probability generating automaton\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (["0", "0", "1/2", "x"], "edge 0 is not an object"),
+        ({"src": 0, "dst": 0, "symbol": "x"}, "edge 0 is missing weight"),
+    ],
+    ids=["not-an-object", "no-weight"],
+)
+def test_check_malformed_edge_exit_code(tmp_path, capsys, edge, message):
+    path = tmp_path / "bad.json"
+    data = {"alphabet": ["x"], "states": 1, "edges": [edge], "initial": {"0": "1"}, "final": {"0": "1/2"}}
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == f"file error: {message}\n"
+
+
 # ----- export-dot
 
 
@@ -365,6 +396,29 @@ def test_oracle_compare_ok(program, capsys):
     assert main(["oracle", program, "--mode", "compare", "--trunc", "30"]) == 0
     out = capsys.readouterr().out
     assert "ok: translation agrees with enumeration" in out
+
+
+def test_oracle_compare_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+    """With one coefficient of the automaton's table pushed off by 1/4, compare
+    names it, reports the worst discrepancy and exits 4."""
+    import redip.oracle
+
+    table_of = redip.oracle.coefficient_table
+
+    def one_off(a, bounds):
+        table = table_of(a, bounds)
+        table[(0,)] += Fraction(1, 4)
+        return table
+
+    monkeypatch.setattr(redip.oracle, "coefficient_table", one_off)
+    path = tmp_path / "coin.redip"
+    path.write_text("x += bernoulli(1/2)")
+    assert main(["oracle", str(path), "--mode", "compare", "--trunc", "5"]) == 4
+    assert capsys.readouterr().out == (
+        "truncation: 5, residual: 0\n"
+        "mismatch: coefficient {'x': 0}: 3/4 outside [1/2, 1/2]\n"
+        "worst discrepancy: 1/4\n"
+    )
 
 
 def test_oracle_enumerate_starts_from_the_prior(prior_file, tmp_path, capsys):

@@ -20,7 +20,7 @@ from redip import (
     save_pga,
 )
 from redip.errors import CustomMassNotOne, CustomNotNormalized, InvalidParameter, UnknownVariable
-from redip.oracle import dist_pmf
+from redip.oracle import dist_pmf, pmf_row
 from redip.pga import unit_pga
 
 H = Fraction(1, 2)
@@ -91,7 +91,16 @@ def test_transition_counts():
         assert build_dist_pga(Uniform(m), "x", ("x",)).size == m - 1
     for n in (1, 2, 4):
         assert build_dist_pga(NegBinomial(n, H), "x", ("x",)).size == 2 * n - 1
-        assert build_dist_pga(Binomial(n, H), "x", ("x",)).size == 3 * n - 2
+        assert build_dist_pga(Binomial(n, H), "x", ("x",)).size == 2 * n - 1
+
+
+def test_a_long_binomial_is_one_chain():
+    """binomial(2000, 1/2) is built as one chain of 2,001 states, an x-arc and
+    an unlabeled arc per draw but the last, and its coefficients are the pmf."""
+    spec = Binomial(2000, H)
+    a = build_dist_pga(spec, "x", ("x",))
+    assert (a.num_states, a.size) == (2001, 3999)
+    assert list(coefficient_table(a, {"x": 40}).values()) == pmf_row(spec, 40)
 
 
 def test_degenerate_parameters_stay_small():

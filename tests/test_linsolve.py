@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from redip import analysis
@@ -56,9 +56,14 @@ def test_factored_system_solves_and_replays():
 
 
 def test_factored_system_permutation_matrix():
-    rows = [{1: F(1)}, {0: F(1)}, {2: F(4)}]
+    """A permutation matrix has zero diagonal pivots, so it is refused; I - M
+    for M half a permutation is an M-matrix and solves through one op."""
+    with pytest.raises(SingularSystem):
+        FactoredSystem(3, pairs([{1: F(1)}, {0: F(1)}, {2: F(4)}]))
+    rows = [{0: F(1), 1: F(-1, 2)}, {1: F(1), 0: F(-1, 2)}, {2: F(1, 2)}]
     fs = FactoredSystem(3, pairs(rows))
-    assert solve(fs, [F(7), F(2), F(8)]) == [F(2), F(7), F(2)]
+    assert len(fs.ops) == 1
+    assert solve(fs, [F(3), F(0), F(1)]) == [F(4), F(2), F(2)]
 
 
 def test_factored_system_singular():
@@ -66,6 +71,36 @@ def test_factored_system_singular():
         FactoredSystem(2, pairs([{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}]))
     with pytest.raises(SingularSystem):
         FactoredSystem(2, pairs([{0: F(1)}, {}]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: F(1), 1: F(-1)}, {1: F(1), 0: F(-1)}],  # I - M, M a weight-1 cycle: pivot 0
+        [{0: F(1, 2)}, {1: F(1), 2: F(-1)}, {2: F(-1)}],  # a singleton's pivot is -1
+        [{0: F(1), 1: F(-2)}, {1: F(1), 0: F(-2)}],  # nonsingular, but a pivot is -3
+    ],
+)
+def test_a_pivot_that_is_not_positive_raises(rows):
+    """Every pivot is on the diagonal; a zero or a negative one is refused,
+    even where the matrix itself is nonsingular: for I - M with M >= 0 it
+    means the spectral radius of M is at least one."""
+    with pytest.raises(SingularSystem):
+        FactoredSystem(len(rows), pairs(rows))
+
+
+def test_a_long_cycle_factors_in_linear_work():
+    """I - M for a 4,000-state cycle of weight-1/2 arcs: each pivot row
+    eliminates the one row that holds its column, so the factorization records
+    c - 1 ops and no pivot row holds more than two entries."""
+    c = 4000
+    rows = [{i: F(1), (i + 1) % c: F(-1, 2)} for i in range(c)]
+    fs = FactoredSystem(c, pairs(rows))
+    assert len(fs.ops) == c - 1
+    assert max(len(row) for _, _, row in fs.pivots) <= 2
+    assert all(row == col for row, col, _ in fs.pivots)
+    x = solve(fs, [F(0)] * (c - 1) + [F(1)])
+    assert x[c - 1] == F(2**c, 2**c - 1)
 
 
 def system_pga(m_rows, f, initial):
@@ -287,66 +322,88 @@ def _dense_solve(n, rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
-def _identity_minus(rng):
-    """I - M for a random block-triangular M, as sparse rows."""
-    n, m_rows, _, _ = _block_triangular_system(rng)
+def _convergent(m_rows, rng, below=F(1)):
+    """Each nonempty row of M scaled to a random sum below `below` <= 1, so
+    the spectral radius of M is below one and I - M is a nonsingular
+    M-matrix."""
+    for row in m_rows:
+        if row:
+            scale = below * F(rng.randint(1, 7), 8) / sum(row.values())
+            for j in row:
+                row[j] *= scale
+    return m_rows
+
+
+def _identity_minus(m_rows):
+    """I - M as sparse rows."""
     rows = [{c: -v for c, v in r.items()} for r in m_rows]
     for i, row in enumerate(rows):
         row[i] = row.get(i, F(0)) + 1
-    return n, rows
+    return rows
+
+
+def _convergent_identity_minus(rng):
+    """I - M for a random block-triangular M of spectral radius below one."""
+    n, m_rows, _, _ = _block_triangular_system(rng)
+    return n, _identity_minus(_convergent(m_rows, rng))
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@example(448)
-@example(34631)
 def test_sparse_solve_equals_the_dense_reference(seed):
     """(I - M) x = b on block-triangular systems against one or two nonzero
-    entries of b at a time: the sparse back-substitution gives exactly the
-    dense solution. Seeds 448 and 34631 pivot every cyclic block without an
-    elimination op: a weight-1 self-loop zeroes a diagonal entry of I - M."""
+    entries of b at a time, of either sign: the sparse back-substitution gives
+    exactly the dense solution."""
     rng = random.Random(seed)
-    n, rows = _identity_minus(rng)
-    rhss = []
+    n, rows = _convergent_identity_minus(rng)
+    fs = FactoredSystem(n, pairs(rows))
     for _ in range(3):
         rhs = [F(0)] * n
         for i in rng.sample(range(n), rng.randint(1, 2)):
             rhs[i] = F(rng.randint(-4, 4) or 1, rng.randint(1, 4))
-        rhss.append(rhs)
-    expected = [_dense_solve(n, rows, rhs) for rhs in rhss]
-    if expected[0] is None:
-        with pytest.raises(SingularSystem):
-            solve(FactoredSystem(n, pairs(rows)), rhss[0])
-        return
-    fs = FactoredSystem(n, pairs(rows))
-    for rhs, x in zip(rhss, expected):
-        assert solve(fs, rhs) == x
+        assert solve(fs, rhs) == _dense_solve(n, rows, rhs)
+
+
+@pytest.mark.parametrize("seed", [448, 34631])
+def test_a_weight_one_self_loop_is_singular_and_diverges(seed):
+    """Unscaled, these two seeds' systems carry a weight-1 self-loop on a
+    cyclic block, which zeroes a diagonal entry of I - M. Factoring refuses
+    the zero pivot, and both routes find the automaton's mass infinite."""
+    n, m_rows, f, initial = _block_triangular_system(random.Random(seed))
+    assert any(row.get(i) == 1 for i, row in enumerate(m_rows))
+    with pytest.raises(SingularSystem):
+        FactoredSystem(n, pairs(_identity_minus(m_rows)))
+    a = system_pga(m_rows, f, dict(enumerate(initial)))
+    assert mass(a) is INF
+    assert mass(a, method="lp") is INF
 
 
 def test_block_triangular_systems_mostly_record_elimination_ops():
-    """The systems above exercise the recorded ops: of seeds 0-199, 181
-    factor with elimination ops and the other 19 are singular."""
+    """The systems above exercise the recorded ops: each of seeds 0-199 has
+    a cyclic block, so each factors with elimination ops."""
     with_ops = 0
     for seed in range(200):
-        try:
-            n, rows = _identity_minus(random.Random(seed))
-            with_ops += bool(FactoredSystem(n, pairs(rows)).ops)
-        except SingularSystem:
-            pass
-    assert with_ops >= 150
+        n, rows = _convergent_identity_minus(random.Random(seed))
+        with_ops += bool(FactoredSystem(n, pairs(rows)).ops)
+    assert with_ops == 200
 
 
 def _general_system(rng):
     """The sparsity of a random block-triangular system, cyclic components
-    included, with arbitrary entries: off-diagonal entries of either sign,
-    pivots other than one, numerators and denominators up to 2**80."""
+    included, as D (I - M): M >= 0 with numerators and denominators up to
+    2**80 and every row sum below one, so negative off-diagonal entries, and
+    each row scaled by a wide positive rational, so pivots other than one.
+    D (I - M) is still a nonsingular M-matrix."""
     n, m_rows, _, _ = _block_triangular_system(rng)
 
-    def entry():
-        return F(rng.choice((-1, 1)) * rng.randint(1, 2**80), rng.randint(1, 2**80))
+    def below(k):  # a rational in (0, 1/k)
+        den = rng.randint(2, 2**80)
+        return F(rng.randint(1, den - 1), k * den)
 
-    rows = [{c: entry() for c in row} for row in m_rows]
-    for i, row in enumerate(rows):
-        row[i] = entry()
+    rows = _identity_minus([{c: below(len(row)) for c in row} for row in m_rows])
+    for row in rows:
+        scale = F(rng.randint(1, 2**80), rng.randint(1, 2**80))
+        for c in row:
+            row[c] *= scale
     return n, rows
 
 
@@ -354,21 +411,14 @@ def _general_system(rng):
 def test_sparse_solve_equals_the_dense_reference_on_general_systems(seed):
     """Elimination ops with wide factors, non-unit pivots, negative entries
     and denominators past 64 bits: the integer kernel still gives exactly the
-    dense solution, as Fractions."""
+    dense solution, as Fractions, against right-hand sides of either sign."""
     rng = random.Random(seed)
     n, rows = _general_system(rng)
-    rhss = []
+    fs = FactoredSystem(n, pairs(rows))
     for _ in range(3):
         rhs = [F(0)] * n
         for i in rng.sample(range(n), rng.randint(1, 3)):
             rhs[i] = F(rng.randint(-2**70, 2**70) or 1, rng.randint(1, 2**70))
-        rhss.append(rhs)
-    if _dense_solve(n, rows, rhss[0]) is None:
-        with pytest.raises(SingularSystem):
-            solve(FactoredSystem(n, pairs(rows)), rhss[0])
-        return
-    fs = FactoredSystem(n, pairs(rows))
-    for rhs in rhss:
         assert solve(fs, rhs) == _dense_solve(n, rows, rhs)
 
 
@@ -429,10 +479,7 @@ def test_stored_factors_are_reduced_pairs(seed):
     Fraction it stands for would report (the benchmark's tracer reads
     `.denominator` from them)."""
     n, rows = _general_system(random.Random(seed))
-    try:
-        fs = FactoredSystem(n, pairs(rows))
-    except SingularSystem:
-        return
+    fs = FactoredSystem(n, pairs(rows))
     entries = [f for _, _, f in fs.ops] + [v for _, _, row in fs.pivots for v in row.values()]
     for v in entries:
         assert type(v) is Pair and v.numerator != 0
@@ -468,9 +515,10 @@ def test_row_build_factoring_and_solving_do_no_fraction_work():
     answers equal the dense reference."""
     cases = []
     for seed in range(40):
-        n, m_rows, _, _ = _block_triangular_system(random.Random(seed))
-        arcs = [(i, j, w) for i, row in enumerate(m_rows) for j, w in row.items()]
-        arcs += [(i, j, w / 2) for i, j, w in arcs[::3]]  # parallel arcs
+        rng = random.Random(seed)
+        n, m_rows, _, _ = _block_triangular_system(rng)
+        arcs = [(i, j, w) for i, row in enumerate(_convergent(m_rows, rng, F(2, 3))) for j, w in row.items()]
+        arcs += [(i, j, w / 2) for i, j, w in arcs[::3]]  # parallel arcs: row sums stay below one
         rows = [{i: F(1)} for i in range(n)]
         for i, j, w in arcs:
             rows[i][j] = rows[i].get(j, F(0)) - w
@@ -480,17 +528,10 @@ def test_row_build_factoring_and_solving_do_no_fraction_work():
     with no_fraction_work():
         for n, arcs, _, rhs in cases:
             built.append(analysis._System(n, [(i, j, w, None) for i, j, w in arcs], {}, {}).rows())
-            try:
-                fs = FactoredSystem(n, built[-1])
-            except SingularSystem:
-                solved.append(None)
-                continue
+            fs = FactoredSystem(n, built[-1])
             solved.append((bool(fs.ops), fs.solve(rhs)))
-    assert sum(bool(s and s[0]) for s in solved) >= 20
-    for (n, _, rows, rhs), got, result in zip(cases, built, solved):
+    assert sum(with_ops for with_ops, _ in solved) >= 20
+    for (n, _, rows, rhs), got, (_, result) in zip(cases, built, solved):
         assert got == [{c: (v.numerator, v.denominator) for c, v in row.items()} for row in rows]
         dense_rhs = [F(*rhs[i]) if i in rhs else F(0) for i in range(n)]
-        expected = _dense_solve(n, rows, dense_rhs)
-        assert (result is None) == (expected is None)
-        if result is not None:
-            assert [F(*result[1][i]) if i in result[1] else F(0) for i in range(n)] == expected
+        assert [F(*result[i]) if i in result else F(0) for i in range(n)] == _dense_solve(n, rows, dense_rhs)
